@@ -52,7 +52,6 @@ from .errors import (
     HamfixError,
     InconsistentGamma,
     IndexOutOfRange,
-    MissingRestriction,
     NoPositiveScale,
     NonConstantC1,
     NonIncreasing,
@@ -67,10 +66,7 @@ from .errors import (
 from .localization import (
     BatteryFailure,
     BatteryReport,
-    EquivariantRestriction,
     abbv_sum,
-    c1_omega_monomial,
-    omega_power_restriction,
     vanishing_battery,
 )
 from .models import (
@@ -84,7 +80,6 @@ from .solver import (
     EquivalenceReport,
     GradientSphereGraph,
     ImplicationLine,
-    SolveOptions,
     SphereEdge,
     enumerate_weight_systems,
     gradient_graph,

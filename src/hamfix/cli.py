@@ -2,7 +2,8 @@
 
 Exit codes are a contract: 0 all checks passed, 1 some check or
 implication failed, 2 unreadable or invalid input, 3 search budget
-exceeded.
+exceeded.  ``ring`` and ``chern`` refuse (exit 1) data that fails
+``validate`` or condition D, since their formulas are meaningless there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .localization import vanishing_battery
 from .models import cpn_model, quadric_model
-from .solver import SolveOptions, enumerate_weight_systems, verify_equivalence
+from .solver import enumerate_weight_systems, verify_equivalence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,19 +37,21 @@ EXIT_BUDGET = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    shared.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    shared.add_argument("--jobs", type=int, default=1, metavar="N", help="solver worker threads")
-    shared.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--json", action="store_true", help="emit a machine-readable report")
+    document = argparse.ArgumentParser(add_help=False, parents=[report])
+    document.add_argument(
         "--normalize", action="store_true", help="translate moment values so phi(P_0) = 0"
     )
-    shared.add_argument(
+    document.add_argument(
         "--no-integrality",
         action="store_true",
         help="do not require integral moment differences",
     )
-    shared.add_argument(
+    search = argparse.ArgumentParser(add_help=False, parents=[report])
+    search.add_argument(
         "--budget", type=int, default=None, metavar="N", help="candidate budget for the solver"
     )
 
@@ -59,24 +62,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[shared], help="run all consistency checks on a file")
+    p = sub.add_parser("check", parents=[document], help="run all consistency checks on a file")
     p.add_argument("file")
 
-    p = sub.add_parser("ring", parents=[shared], help="ring coefficients and classification")
+    p = sub.add_parser("ring", parents=[document], help="ring coefficients and classification")
     p.add_argument("file")
 
-    p = sub.add_parser("chern", parents=[shared], help="Chern coefficients and sigma tables")
+    p = sub.add_parser("chern", parents=[document], help="Chern coefficients and sigma tables")
     p.add_argument("file")
 
-    p = sub.add_parser("model", parents=[shared], help="write a standard model document")
+    p = sub.add_parser("model", parents=[out], help="write a standard model document")
     p.add_argument("kind", choices=["cpn", "quadric"])
     p.add_argument("--b", required=True, metavar="LIST", help="comma-separated exponents")
     p.add_argument("--n", type=int, default=None, help="half-dimension (quadric only)")
 
-    p = sub.add_parser("solve", parents=[shared], help="enumerate consistent weight systems")
+    p = sub.add_parser("solve", parents=[search], help="enumerate consistent weight systems")
     _add_ring_args(p)
 
-    p = sub.add_parser("verify", parents=[shared], help="verify the four ring equivalences")
+    p = sub.add_parser("verify", parents=[search], help="verify the four ring equivalences")
     _add_ring_args(p)
 
     return parser
@@ -126,6 +129,17 @@ def _load(args) -> InputDocument:
     if args.normalize:
         doc = InputDocument(doc.data.normalized(), doc.meta)
     return doc
+
+
+def _refuse_inconsistent(args, data) -> bool:
+    """Name each validate violation on stderr and return True if there are
+    any; otherwise raise if condition D fails (``main`` reports it)."""
+    problems = validate(data, require_integral_differences=not args.no_integrality).messages()
+    for message in problems:
+        print(f"error: {message}", file=sys.stderr)
+    if not problems:
+        condition_d_offset(data)
+    return bool(problems)
 
 
 def _format_rat_list(values) -> str:
@@ -199,6 +213,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_ring(args) -> int:
     doc = _load(args)
+    if _refuse_inconsistent(args, doc.data):
+        return EXIT_CHECK_FAILED
     rc = ring_coefficients(doc.data)
     spec = classify_ring(rc)
     if args.json:
@@ -224,6 +240,8 @@ def _cmd_ring(args) -> int:
 
 def _cmd_chern(args) -> int:
     doc = _load(args)
+    if _refuse_inconsistent(args, doc.data):
+        return EXIT_CHECK_FAILED
     chern = chern_coefficients(doc.data)
     if args.json:
         _emit(
@@ -261,13 +279,9 @@ def _cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _solve_options(args) -> SolveOptions:
-    return SolveOptions(budget=args.budget, jobs=max(1, args.jobs))
-
-
 def _cmd_solve(args) -> int:
     spec, phis = _ring_spec(args)
-    systems = enumerate_weight_systems(spec, phis, _solve_options(args))
+    systems = enumerate_weight_systems(spec, phis, budget=args.budget)
     if args.json:
         payload = {
             "command": "solve",
@@ -292,7 +306,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec, phis = _ring_spec(args)
-    report = verify_equivalence(spec, phis, _solve_options(args))
+    report = verify_equivalence(spec, phis, budget=args.budget)
     if args.json:
         payload = {
             "command": "verify",

@@ -183,11 +183,10 @@ def validate(data: FixedPointData, *, require_integral_differences: bool = True)
       is normalized to be primitive integral; disable with
       ``require_integral_differences=False`` for exploratory input);
     * no weight is zero;
-    * P_i has exactly i negative weights (Morse index 2i);
-    * P_i has at most i negative weights (the Morse index bound from the
-      fixed points below; isolated-point case).
+    * P_i has exactly i negative weights (Morse index 2i).
 
-    Violations are collected, never raised; an empty report means valid.
+    Violations are collected, never raised, one per fault; an empty
+    report means valid.
     """
     found: list[Violation] = []
     phis = data.moment_values
@@ -230,15 +229,6 @@ def validate(data: FixedPointData, *, require_integral_differences: bool = True)
                     "negative-count",
                     p.index,
                     f"negative-weight count at P_{p.index} is {k}, expected {p.index}",
-                )
-            )
-        if k > p.index:
-            found.append(
-                Violation(
-                    "index-bound",
-                    p.index,
-                    f"Morse index bound violated at P_{p.index}: "
-                    f"{k} negative weights but only {p.index} points below",
                 )
             )
 

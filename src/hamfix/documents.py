@@ -4,10 +4,11 @@ The on-disk form is UTF-8 JSON with keys ``n``, ``points`` and an
 optional ``meta`` object.  Each point is ``{"phi": <string>, "weights":
 [<int>...]}``.  Moment values travel as strings ("5", "-2", "3/2") so
 exactness survives the trip; bare JSON numbers are accepted on input
-only when integral.  Writing always canonicalizes: points sorted by
-moment value, weights ascending, two-space indentation, trailing
-newline.  Parsing checks structure only; value-level validation is the
-job of the ``check`` command.
+only when integral.  Writing always canonicalizes: points in index
+order (so a document re-parses to the same data even when its moment
+values are out of order), weights ascending, two-space indentation,
+trailing newline.  Parsing checks structure only; value-level
+validation is the job of the ``check`` command.
 """
 
 from __future__ import annotations
@@ -115,13 +116,12 @@ def parse_document(text: str) -> InputDocument:
 def serialize_document(doc: InputDocument) -> str:
     """Canonical text form; stable byte-for-byte for equal documents.
 
-    Points are sorted by moment value and rendered one per line; weights
-    are already stored ascending.  meta keys are sorted.
+    Points are rendered one per line in index order; weights are
+    already stored ascending.  meta keys are sorted.
     """
-    pts = sorted(doc.data.points, key=lambda p: (p.moment_value, p.index))
     point_lines = ",\n".join(
         "    " + json.dumps({"phi": str(p.moment_value), "weights": list(p.weights)})
-        for p in pts
+        for p in doc.data.points
     )
     text = "{\n" + f'  "n": {doc.data.n},\n' + '  "points": [\n' + point_lines + "\n  ]"
     if doc.meta is not None:

@@ -13,10 +13,6 @@ class IndexOutOfRange(HamfixError, IndexError):
     """A point index outside 0..n was requested."""
 
 
-class MissingRestriction(HamfixError):
-    """An equivariant restriction lacks a coefficient for some fixed point."""
-
-
 class NonConstantC1(HamfixError):
     """The pairwise weight-sum quotients disagree; no constant C exists."""
 
@@ -53,16 +49,16 @@ class DuplicateAbsB(HamfixError):
     """Quadric model parameters must have pairwise distinct absolute values."""
 
 
-class NonIncreasing(HamfixError):
-    """Moment values must be strictly increasing."""
-
-
 class OddHalfWeight(HamfixError):
     """An antipodal moment gap is odd, so its half-weight is not an integer."""
 
 
 class SpecMismatch(HamfixError):
     """Ring description and moment values do not fit together."""
+
+
+class NonIncreasing(SpecMismatch):
+    """Moment values must be strictly increasing integers."""
 
 
 class SearchBudgetExceeded(HamfixError):

@@ -10,56 +10,31 @@ vanish below the top degree.  The full battery of those vanishing
 identities is a cheap, strong consistency filter for candidate data;
 the top power of the symplectic class recovers the symplectic volume,
 which must be positive.
+
+The battery evaluates each monomial sum as one integer power sum over
+a common denominator (see ``vanishing_battery``); ``abbv_sum`` is the
+direct rational sum over arbitrary restrictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Sequence
 
-from .core import FixedPointData, gamma, lambda_all, rat
-from .errors import MissingRestriction
-
-
-@dataclass(frozen=True, eq=True)
-class EquivariantRestriction:
-    """Restrictions a_P of one homogeneous class of degree 2*degree."""
-
-    degree: int
-    coefficients: Mapping[int, Fraction]
-
-    def coefficient(self, i: int) -> Fraction:
-        try:
-            return self.coefficients[i]
-        except KeyError:
-            raise MissingRestriction(f"no restriction coefficient for point {i}") from None
+from .core import FixedPointData, RatLike, gamma, lambda_all, rat
 
 
-def omega_power_restriction(data: FixedPointData, b: int) -> EquivariantRestriction:
-    """Restrictions of the b-th power of the equivariant symplectic class.
+def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
+    """Exact localization sum  sum_P a_P / Lambda_P.
 
-    The class restricts to -phi(P) * t at each fixed point, so the b-th
-    power restricts to (-phi(P))^b * t^b.
+    ``coefficients`` lists the restrictions a_P of one class in point
+    order, one per fixed point; a length mismatch raises ValueError.
     """
-    coeffs = {p.index: rat((-p.moment_value) ** b) for p in data.points}
-    return EquivariantRestriction(b, coeffs)
-
-
-def c1_omega_monomial(data: FixedPointData, a: int, b: int) -> EquivariantRestriction:
-    """Restrictions of (equivariant c_1)^a * (equivariant symplectic)^b."""
-    coeffs = {
-        p.index: rat(gamma(data, p.index)) ** a * (-p.moment_value) ** b
-        for p in data.points
-    }
-    return EquivariantRestriction(a + b, coeffs)
-
-
-def abbv_sum(data: FixedPointData, cls: EquivariantRestriction) -> Fraction:
-    """Exact localization sum  sum_P a_P / Lambda_P."""
     total = Fraction(0)
-    for p in data.points:
-        total += Fraction(cls.coefficient(p.index)) / lambda_all(data, p.index)
+    for p, a in zip(data.points, coefficients, strict=True):
+        total += rat(a) / lambda_all(data, p.index)
     return total
 
 
@@ -89,13 +64,28 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     listed in lexicographic (a, b) order.  The report also carries the
     top value V = sum_P (-phi_P)^n / Lambda_P, the symplectic volume,
     which must be positive for the battery to pass.
+
+    With L = lcm(Lambda_P), q the lcm of the moment value denominators,
+    m_P = L / Lambda_P and u_P = -phi_P * q (all integers), each sum is
+    (sum_P m_P Gamma_P^a u_P^b) / (L q^b), so it is exact in integers.
     """
     n = data.n
+    lambdas = [lambda_all(data, p.index) for p in data.points]
+    big_l = lcm(*lambdas)
+    q = lcm(*(p.moment_value.denominator for p in data.points))
+    m = [big_l // lam for lam in lambdas]
+    u = [-p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
+    gs = [gamma(data, p.index) for p in data.points]
+
     failures = []
+    c1_power = m  # m_P * Gamma_P^a
     for a in range(n):
+        terms = c1_power  # m_P * Gamma_P^a * u_P^b
         for b in range(n - a):
-            value = abbv_sum(data, c1_omega_monomial(data, a, b))
-            if value != 0:
-                failures.append(BatteryFailure(a, b, value))
-    volume = abbv_sum(data, omega_power_restriction(data, n))
+            total = sum(terms)
+            if total != 0:
+                failures.append(BatteryFailure(a, b, Fraction(total, big_l * q**b)))
+            terms = [t * x for t, x in zip(terms, u)]
+        c1_power = [t * g for t, g in zip(c1_power, gs)]
+    volume = Fraction(sum(mp * x**n for mp, x in zip(m, u)), big_l * q**n)
     return BatteryReport(n, tuple(failures), volume)

@@ -16,16 +16,17 @@ this ansatz is a theorem; for other rings it can genuinely fail (a
 joining P_0 and P_2 at all), so results for those rings are a filter,
 never a uniqueness claim.
 
-Every assembled candidate must survive validation, a constant c1
-coefficient, a constant condition-D offset, the full vanishing battery,
-and the mirrored positive-weight product targets.
+Every assembled candidate must meet the mirrored positive-weight
+product targets and survive validation, a constant condition-D offset
+(which requires a constant positive c1 coefficient) and the full
+vanishing battery.  The search is single-threaded and bounded by a
+budget (``budget=`` or the ``HAMFIX_BUDGET`` environment variable).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -50,63 +51,36 @@ from .errors import (
     SpecMismatch,
 )
 from .localization import vanishing_battery
-from .models import expected_weights_cpn, expected_weights_quadric
+from .models import _check_increasing_ints, expected_weights_cpn, expected_weights_quadric
 
 #: Environment variable consulted for the default search budget.
 BUDGET_ENV_VAR = "HAMFIX_BUDGET"
 DEFAULT_BUDGET = 200_000
 
 
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecMismatch(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise SpecMismatch(f"{BUDGET_ENV_VAR} must be nonnegative, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs for the weight-system search.
-
-    ``max_abs_weight`` caps candidate weight magnitudes (default: the
-    largest pairwise moment gap, which divisibility already implies).
-    ``budget`` caps the number of assembled candidate systems; hitting it
-    raises SearchBudgetExceeded rather than silently truncating.
-    ``jobs`` sets the number of worker threads; results are identical
-    for any job count.
-    """
-
-    max_abs_weight: int | None = None
-    budget: int | None = None
-    jobs: int = 1
-
-    def effective_budget(self) -> int:
-        if self.budget is None:
-            return default_budget()
-        if self.budget < 0:
-            raise SpecMismatch(f"budget must be nonnegative, got {self.budget}")
-        return self.budget
+def _effective_budget(budget: int | None) -> int:
+    """``budget``, else the ``HAMFIX_BUDGET`` value, else DEFAULT_BUDGET."""
+    source = "budget"
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV_VAR)
+        if raw is None:
+            return DEFAULT_BUDGET
+        source = BUDGET_ENV_VAR
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise SpecMismatch(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise SpecMismatch(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _checked_phis(spec: RingSpec, phis: Sequence[int]) -> list[int]:
-    vals = list(phis)
-    if len(vals) != spec.n + 1:
+    if len(phis) != spec.n + 1:
         raise SpecMismatch(
-            f"ring has n = {spec.n} but {len(vals)} moment values were given"
+            f"ring has n = {spec.n} but {len(phis)} moment values were given"
         )
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SpecMismatch(f"moment values must be integers, got {v!r}")
-    for a, b in zip(vals, vals[1:]):
-        if b <= a:
-            raise SpecMismatch(f"moment values must be strictly increasing: {a} then {b}")
-    return vals
+    return _check_increasing_ints(phis)
 
 
 def lambda_minus_targets(spec: RingSpec, phis: Sequence[int]) -> list[Fraction]:
@@ -150,7 +124,7 @@ def _divisors(m: int) -> list[int]:
 
 
 def _negative_assignments(
-    gaps: Sequence[int], target: Fraction, max_abs: int, budget: int
+    gaps: Sequence[int], target: Fraction, budget: int
 ) -> list[tuple[int, ...]]:
     """All tuples (w_0..w_{k-1}) of negative integers with w_j dividing
     gaps[j] (both negative) and product equal to ``target``."""
@@ -161,7 +135,7 @@ def _negative_assignments(
     if t == 0 or (t < 0) != (k % 2 == 1):
         return []
     t_abs = abs(t)
-    choices = [[d for d in _divisors(-g) if d <= max_abs] for g in gaps]
+    choices = [_divisors(-g) for g in gaps]
 
     results: list[tuple[int, ...]] = []
     stack: list[int] = []
@@ -204,7 +178,6 @@ def _passes_all_checks(data: FixedPointData) -> bool:
     if not validate(data).is_valid:
         return False
     try:
-        c1_coefficient(data)
         condition_d_offset(data)
     except HamfixError:
         return False
@@ -212,39 +185,37 @@ def _passes_all_checks(data: FixedPointData) -> bool:
 
 
 def enumerate_weight_systems(
-    spec: RingSpec, phis: Sequence[int], opts: SolveOptions | None = None
+    spec: RingSpec, phis: Sequence[int], *, budget: int | None = None
 ) -> list[FixedPointData]:
     """All fixed point data consistent with the paired-sphere ansatz.
 
     For each point P_i the i negative weights are assigned bijectively
     to the points below, each dividing its moment gap and multiplying to
     the ring's product target; positive weights are the forced mirrors.
-    Candidates are then filtered through validation, c1 and condition-D
-    constancy, the vanishing battery, and the positive product targets.
-    The result is deduplicated and sorted by flattened weight lists.
+    Candidates are then filtered through the positive product targets,
+    validation, condition-D constancy and the vanishing battery.  The
+    result is deduplicated and sorted by flattened weight lists.
+
+    ``budget`` (default: ``HAMFIX_BUDGET``, else 200000) caps both the
+    assignments found at one point and the number of candidate systems;
+    exceeding it raises SearchBudgetExceeded rather than truncating.
     """
-    opts = opts or SolveOptions()
     vals = _checked_phis(spec, phis)
     n = spec.n
     targets = lambda_minus_targets(spec, vals)
     pos_targets = positive_targets(spec, vals)
-    budget = opts.effective_budget()
-    max_abs = opts.max_abs_weight
-    if max_abs is None:
-        max_abs = vals[-1] - vals[0]
+    budget = _effective_budget(budget)
 
     per_point: list[list[tuple[int, ...]]] = []
     for i in range(1, n + 1):
         gaps = [vals[j] - vals[i] for j in range(i)]
-        per_point.append(_negative_assignments(gaps, targets[i], max_abs, budget))
+        per_point.append(_negative_assignments(gaps, targets[i], budget))
 
     total = prod(len(a) for a in per_point)
     if total > budget:
         raise SearchBudgetExceeded(
             f"{total} candidate systems exceed the budget of {budget}"
         )
-    if total == 0:
-        return []
 
     def survives(combo) -> FixedPointData | None:
         for j in range(n + 1):
@@ -254,17 +225,11 @@ def enumerate_weight_systems(
         data = _assemble(vals, combo, n)
         return data if _passes_all_checks(data) else None
 
-    combos = list(itertools.product(*per_point))
-    if opts.jobs > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            survivors = [d for d in pool.map(survives, combos) if d is not None]
-    else:
-        survivors = [d for d in map(survives, combos) if d is not None]
-
     unique: dict[tuple, FixedPointData] = {}
-    for data in survivors:
-        key = tuple(p.weights for p in data.points)
-        unique.setdefault(key, data)
+    for combo in itertools.product(*per_point):
+        data = survives(combo)
+        if data is not None:
+            unique.setdefault(tuple(p.weights for p in data.points), data)
     return [unique[k] for k in sorted(unique)]
 
 
@@ -287,7 +252,7 @@ class EquivalenceReport:
 
 
 def verify_equivalence(
-    spec: RingSpec, phis: Sequence[int], opts: SolveOptions | None = None
+    spec: RingSpec, phis: Sequence[int], *, budget: int | None = None
 ) -> EquivalenceReport:
     """Check the four ring/Chern/weight equivalences on one instance.
 
@@ -296,7 +261,7 @@ def verify_equivalence(
     system's measured ring classifies back to the requested ring;
     (4)=>(3): its Chern coefficients match the reference series;
     (4)=>(1): its c1 coefficient is n+1 (projective space) or n
-    (quadric).
+    (quadric).  ``budget`` is passed to ``enumerate_weight_systems``.
     """
     if spec.kind is RingKind.OTHER:
         raise SpecMismatch("equivalence verification is defined for the model rings only")
@@ -314,7 +279,7 @@ def verify_equivalence(
         expected = None
         expected_note = f"standard weight system not constructible: {exc}"
 
-    systems = enumerate_weight_systems(spec, vals, opts)
+    systems = enumerate_weight_systems(spec, vals, budget=budget)
     lines = []
 
     if expected is not None and len(systems) == 1 and systems[0] == expected:

@@ -4,6 +4,7 @@ Everything asserted here is exact; the only tolerances are the stated
 wall-clock bounds.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,6 @@ from hamfix import (
     InputDocument,
     RingKind,
     RingSpec,
-    SolveOptions,
     c1_coefficient,
     chern_coefficients,
     cpn_model,
@@ -36,6 +36,7 @@ from hamfix import (
 
 from conftest import quadric_b_lists
 from test_cohomology import cpn_chern_oracle, quadric_chern_oracle
+from test_solver import _all_divisor_systems
 
 SEED = 20260810
 
@@ -223,25 +224,30 @@ def test_criterion_7c_json_round_trip(b, c):
     assert serialize_document(parsed) == text
 
 
-_JOBS_INSTANCES = [
-    (RingKind.PROJECTIVE_SPACE, (0, 1)),
-    (RingKind.PROJECTIVE_SPACE, (0, 1, 2)),
-    (RingKind.PROJECTIVE_SPACE, (0, 1, 3)),
-    (RingKind.PROJECTIVE_SPACE, (0, 2, 4)),
-    (RingKind.PROJECTIVE_SPACE, (0, 1, 2, 3)),
-    (RingKind.QUADRIC, (-2, -1, 1, 2)),
-    (RingKind.QUADRIC, (-3, -1, 1, 3)),
+_ORACLE_RINGS = [
+    RingSpec(RingKind.PROJECTIVE_SPACE, 1),
+    RingSpec(RingKind.PROJECTIVE_SPACE, 2),
+    RingSpec(RingKind.PROJECTIVE_SPACE, 3),
+    RingSpec(RingKind.QUADRIC, 3),
+    RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(1, 5), Fraction(1, 5))),
+    RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(1, 22), Fraction(1, 22))),
 ]
 
 
+@st.composite
+def _oracle_instances(draw):
+    """A small ring and moment values with consecutive gaps 1..6 (1..4 at n = 3)."""
+    spec = draw(st.sampled_from(_ORACLE_RINGS))
+    top = 6 if spec.n < 3 else 4
+    gaps = draw(st.lists(st.integers(1, top), min_size=spec.n, max_size=spec.n))
+    return spec, list(itertools.accumulate(gaps, initial=draw(st.integers(-10, 10))))
+
+
 @settings(max_examples=200)
-@given(st.sampled_from(_JOBS_INSTANCES), st.integers(2, 4))
-def test_criterion_7d_jobs_independence(instance, jobs):
-    kind, phis = instance
-    spec = RingSpec(kind, len(phis) - 1)
-    serial = enumerate_weight_systems(spec, list(phis), SolveOptions(jobs=1))
-    threaded = enumerate_weight_systems(spec, list(phis), SolveOptions(jobs=jobs))
-    assert serial == threaded
+@given(_oracle_instances())
+def test_criterion_7d_solver_matches_brute_force(instance):
+    spec, phis = instance
+    assert enumerate_weight_systems(spec, phis) == _all_divisor_systems(spec, phis)
 
 
 def test_criterion_7_summary():

@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hamfix import InputDocument, cpn_model, quadric_model, serialize_document
-from hamfix.cli import main
+import pytest
+
+from hamfix import FixedPointData, InputDocument, cpn_model, quadric_model, serialize_document
+from hamfix.cli import _build_parser, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -124,6 +126,70 @@ def test_ring_degenerate_exits_1(tmp_path, capsys):
     assert main(["ring", str(path)]) == 1
 
 
+def test_ring_and_chern_refuse_data_failing_validate(tmp_path, capsys):
+    # P_1 has no negative weight; the ring formula would still give r_2 = 1/21
+    data = FixedPointData.from_weights([0, 1, 2], [(1, 2), (1, 3), (-2, -1)])
+    path = write_model(tmp_path, data)
+    for command in (["ring", path], ["chern", path], ["ring", path, "--json"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative-weight count at P_1 is 0, expected 1" in captured.err
+
+
+def test_ring_and_chern_refuse_non_constant_c1(tmp_path, capsys):
+    # CP^2 weights at phi = 0, 1, 3 pass validate but have no constant c1
+    weights = [p.weights for p in cpn_model((0, 1, 2)).points]
+    path = write_model(tmp_path, FixedPointData.from_weights([0, 1, 3], weights))
+    for command in ("ring", "chern"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pair (0,2) gives 2" in captured.err
+
+
+def test_ring_honours_no_integrality(tmp_path, capsys):
+    path = tmp_path / "frac.json"
+    path.write_text(
+        '{"n": 1, "points": [{"phi": "0", "weights": [1]}, {"phi": "1/2", "weights": [-1]}]}',
+        encoding="utf-8",
+    )
+    assert main(["ring", str(path)]) == 1
+    assert "is not an integer" in capsys.readouterr().err
+    assert main(["ring", str(path), "--no-integrality"]) == 0
+    assert "classification: ProjectiveSpace" in capsys.readouterr().out
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    flags = {
+        "--json": [],
+        "--out": ["report.txt"],
+        "--normalize": [],
+        "--no-integrality": [],
+        "--budget": ["5"],
+        "--jobs": ["2"],
+    }
+    file_flags = {"--json", "--out", "--normalize", "--no-integrality"}
+    solver_flags = {"--json", "--out", "--budget"}
+    commands = {
+        "check": (["check", "f.json"], file_flags),
+        "ring": (["ring", "f.json"], file_flags),
+        "chern": (["chern", "f.json"], file_flags),
+        "model": (["model", "cpn", "--b", "0,1"], {"--out"}),
+        "solve": (["solve", "--ring", "cpn", "--phi", "0,1"], solver_flags),
+        "verify": (["verify", "--ring", "cpn", "--phi", "0,1"], solver_flags),
+    }
+    parser = _build_parser()
+    for argv, accepted in commands.values():
+        for flag, value in flags.items():
+            if flag in accepted:
+                parser.parse_args(argv + [flag, *value])
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv + [flag, *value])
+                assert exc.value.code == 2
+
+
 def test_chern_line(tmp_path, capsys):
     path = write_model(tmp_path, cpn_model((0, 1, 2)))
     assert main(["chern", path]) == 0
@@ -196,13 +262,6 @@ def test_budget_env_var(capsys, monkeypatch):
     # explicit flag overrides the environment
     monkeypatch.setenv("HAMFIX_BUDGET", "0")
     assert main(["solve", "--ring", "cpn", "--phi", "0,1,2", "--budget", "100"]) == 0
-
-
-def test_solve_jobs_flag_same_output(capsys):
-    assert main(["solve", "--ring", "quadric", "--phi=-3,-1,1,3"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["solve", "--ring", "quadric", "--phi=-3,-1,1,3", "--jobs", "3"]) == 0
-    assert capsys.readouterr().out == serial
 
 
 def test_verify_cpn_exit_0(capsys):

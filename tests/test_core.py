@@ -68,8 +68,8 @@ def test_validate_flags_wrong_negative_count():
     assert any(
         "negative-weight count at P_1 is 2, expected 1" in m for m in report.messages()
     )
-    # two negatives at position 1 also break the index bound
-    assert any(v.rule == "index-bound" for v in report.violations)
+    # one fault, one violation
+    assert [(v.rule, v.point) for v in report.violations] == [("negative-count", 1)]
 
 
 def test_validate_flags_equal_moments():

@@ -11,6 +11,7 @@ from hamfix import (
     parse_document,
     quadric_model,
     serialize_document,
+    validate,
 )
 
 from conftest import cpn_b_lists, quadric_b_lists
@@ -35,6 +36,26 @@ def test_parse_serialize_round_trip():
     doc = parse_document(CANONICAL_CP2)
     assert doc.data == cpn_model((0, 1, 2))
     assert serialize_document(doc) == CANONICAL_CP2
+
+
+REVERSED_CP2 = """{
+  "n": 2,
+  "points": [
+    {"phi": "2", "weights": [-2, -1]},
+    {"phi": "1", "weights": [-1, 1]},
+    {"phi": "0", "weights": [1, 2]}
+  ]
+}
+"""
+
+
+def test_round_trip_keeps_point_order():
+    # Out-of-order moment values are invalid data; writing must not
+    # reorder the points into a valid CP^2.
+    doc = parse_document(REVERSED_CP2)
+    assert serialize_document(doc) == REVERSED_CP2
+    assert parse_document(serialize_document(doc)).data == doc.data
+    assert not validate(doc.data).is_valid
 
 
 def test_parse_accepts_integral_numbers_and_fraction_strings():

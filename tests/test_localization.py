@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
-    EquivariantRestriction,
+    BatteryFailure,
+    BatteryReport,
     FixedPoint,
     FixedPointData,
-    MissingRestriction,
     abbv_sum,
     cpn_model,
-    omega_power_restriction,
+    gamma,
     quadric_model,
     vanishing_battery,
 )
@@ -19,46 +19,58 @@ from hamfix import (
 from conftest import cpn_b_lists, quadric_b_lists
 
 
+def omega_power(data, b):
+    """Restrictions (-phi_P)^b of the b-th power of the equivariant symplectic class."""
+    return [(-p.moment_value) ** b for p in data.points]
+
+
+def c1_omega_monomial(data, a, b):
+    """Restrictions Gamma_P^a * (-phi_P)^b of (equivariant c_1)^a * omega^b."""
+    return [Fraction(gamma(data, p.index)) ** a * (-p.moment_value) ** b for p in data.points]
+
+
+def reference_battery(data):
+    """The battery report built term by term from ``abbv_sum``."""
+    n = data.n
+    failures = []
+    for a in range(n):
+        for b in range(n - a):
+            value = abbv_sum(data, c1_omega_monomial(data, a, b))
+            if value != 0:
+                failures.append(BatteryFailure(a, b, value))
+    return BatteryReport(n, tuple(failures), abbv_sum(data, omega_power(data, n)))
+
+
 def test_abbv_sum_cp1_volume():
     data = cpn_model((0, 1))
-    cls = omega_power_restriction(data, 1)
-    assert cls.coefficients == {0: Fraction(0), 1: Fraction(-1)}
-    assert abbv_sum(data, cls) == 1
+    coefficients = omega_power(data, 1)
+    assert coefficients == [Fraction(0), Fraction(-1)]
+    assert abbv_sum(data, coefficients) == 1
 
 
 def test_abbv_sum_zero_class():
     data = quadric_model((2, 1))
-    cls = EquivariantRestriction(0, {i: Fraction(0) for i in range(4)})
-    assert abbv_sum(data, cls) == 0
+    assert abbv_sum(data, [0, 0, 0, 0]) == 0
 
 
 def test_abbv_sum_quadric_degree():
     data = quadric_model((2, 1))
-    cls = omega_power_restriction(data, 3)
-    assert cls.coefficients == {
-        0: Fraction(8),
-        1: Fraction(1),
-        2: Fraction(-1),
-        3: Fraction(-8),
-    }
-    assert abbv_sum(data, cls) == 2
+    coefficients = omega_power(data, 3)
+    assert coefficients == [Fraction(8), Fraction(1), Fraction(-1), Fraction(-8)]
+    assert abbv_sum(data, coefficients) == 2
 
 
 def test_abbv_sum_missing_restriction():
-    data = cpn_model((0, 1))
-    with pytest.raises(MissingRestriction):
-        abbv_sum(data, EquivariantRestriction(0, {0: Fraction(1)}))
+    with pytest.raises(ValueError):
+        abbv_sum(cpn_model((0, 1)), [1])
 
 
 @given(cpn_b_lists(max_n=4), st.integers(-5, 5), st.integers(-5, 5))
 def test_abbv_sum_is_linear(b, s, t):
     data = cpn_model(b)
-    idx = range(data.n + 1)
-    one = omega_power_restriction(data, 1)
-    two = omega_power_restriction(data, 2)
-    mixed = EquivariantRestriction(
-        2, {i: s * one.coefficients[i] + t * two.coefficients[i] for i in idx}
-    )
+    one = omega_power(data, 1)
+    two = omega_power(data, 2)
+    mixed = [s * x + t * y for x, y in zip(one, two)]
     assert abbv_sum(data, mixed) == s * abbv_sum(data, one) + t * abbv_sum(data, two)
 
 
@@ -116,3 +128,30 @@ def test_battery_failure_invariant_under_translation(c):
     points[2] = FixedPoint(2, points[2].moment_value, (-3, -1))
     bad = FixedPointData(2, tuple(points))
     assert not vanishing_battery(bad.translated(c)).passed
+
+
+@st.composite
+def battery_data(draw):
+    """Models (CP^n, n <= 6, and Q^3, Q^5), translated by a fraction and
+    sometimes with one weight replaced by another nonzero integer."""
+    if draw(st.booleans()):
+        data = cpn_model(draw(cpn_b_lists()))
+    else:
+        data = quadric_model(draw(quadric_b_lists()))
+    data = data.translated(Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, data.n))
+        k = draw(st.integers(0, data.n - 1))
+        w = draw(st.integers(-9, 9).filter(lambda v: v != 0))
+        points = list(data.points)
+        weights = list(points[i].weights)
+        weights[k] = w
+        points[i] = FixedPoint(i, points[i].moment_value, tuple(weights))
+        data = FixedPointData(data.n, tuple(points))
+    return data
+
+
+@settings(max_examples=200)
+@given(battery_data())
+def test_battery_equals_abbv_sum_reference(data):
+    assert vanishing_battery(data) == reference_battery(data)
