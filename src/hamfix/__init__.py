@@ -43,7 +43,6 @@ from .documents import (
     serialize_document,
 )
 from .errors import (
-    ConditionDViolated,
     CrossCheckFailed,
     DegenerateGamma,
     DuplicateAbsB,
@@ -52,7 +51,6 @@ from .errors import (
     HamfixError,
     InconsistentGamma,
     IndexOutOfRange,
-    NoPositiveScale,
     NonConstantC1,
     NonIncreasing,
     NonPositiveC1,

@@ -35,6 +35,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
+_MODELS = {"cpn": cpn_model, "quadric": quadric_model}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
@@ -72,9 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("model", parents=[out], help="write a standard model document")
-    p.add_argument("kind", choices=["cpn", "quadric"])
+    p.add_argument("kind", choices=list(_MODELS))
     p.add_argument("--b", required=True, metavar="LIST", help="comma-separated exponents")
-    p.add_argument("--n", type=int, default=None, help="half-dimension (quadric only)")
 
     p = sub.add_parser("solve", parents=[search], help="enumerate consistent weight systems")
     _add_ring_args(p)
@@ -93,7 +94,7 @@ def _add_ring_args(p: argparse.ArgumentParser):
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
-        return [int(part.strip()) for part in raw.split(",") if part.strip() != ""]
+        return [int(part) for part in raw.split(",")]
     except ValueError:
         raise ParseError(flag, f"expected comma-separated integers, got {raw!r}") from None
 
@@ -268,13 +269,8 @@ def _cmd_chern(args) -> int:
 
 def _cmd_model(args) -> int:
     b = _parse_int_list(args.b, "--b")
-    if args.kind == "cpn":
-        data = cpn_model(b)
-        name = f"cpn b={','.join(str(v) for v in b)}"
-    else:
-        data = quadric_model(b, args.n)
-        name = f"quadric b={','.join(str(v) for v in b)}"
-    doc = InputDocument(data, {"name": name})
+    name = f"{args.kind} b={','.join(str(v) for v in b)}"
+    doc = InputDocument(_MODELS[args.kind](b), {"name": name})
     _emit(args, serialize_document(doc))
     return EXIT_OK
 

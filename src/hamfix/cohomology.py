@@ -1,9 +1,9 @@
 """Cohomology-ring and Chern-class invariants read off the fixed point data.
 
-With b_2 = 1, the first Chern class is C*[omega] where C is the common
-value of (Gamma_i - Gamma_j)/(phi_j - phi_i) over all point pairs; the
-equivariant refinement forces Gamma_i = C*(-phi_i) + d for a single
-integer offset d ("condition D").  Each cohomology group H^{2i} is
+With b_2 = 1, the weight sums lie on one line Gamma_i = C*(-phi_i) + d:
+C is the coefficient with c_1(M) = C*[omega], the common value of
+(Gamma_i - Gamma_j)/(phi_j - phi_i) over all point pairs, and d is the
+"condition D" offset; one affine fit gives both.  Each group H^{2i} is
 freely generated by a class alpha_i expressible through the weights
 alone:
 
@@ -31,7 +31,6 @@ from math import comb, prod
 
 from .core import FixedPointData, gamma, lambda_all, lambda_minus, lambda_plus
 from .errors import (
-    ConditionDViolated,
     CrossCheckFailed,
     DegenerateGamma,
     NonConstantC1,
@@ -121,6 +120,35 @@ def _gammas(data: FixedPointData) -> list[int]:
     return [gamma(data, i) for i in range(data.n + 1)]
 
 
+def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
+    """(C, d) with Gamma_i = C * (-phi_i) + d for all i, and C > 0.
+
+    If every pair (0, j) gives the quotient C, the points lie on one
+    line, so every pair with distinct moment values does too.  Errors
+    name the first failing pair in lexicographic order.
+    """
+    gs = _gammas(data)
+    phis = data.moment_values
+    c = None
+    for j in range(1, data.n + 1):
+        if phis[j] == phis[0]:
+            raise NonConstantC1(f"equal moment values at P_0 and P_{j}")
+        q = Fraction(gs[0] - gs[j]) / (phis[j] - phis[0])
+        if c is None:
+            c = q
+        elif q != c:
+            raise NonConstantC1(f"pair (0,1) gives {c} but pair (0,{j}) gives {q}")
+    points_at: dict[Fraction, list[int]] = {}
+    for i, phi in enumerate(phis):
+        points_at.setdefault(phi, []).append(i)
+    for same in points_at.values():
+        if len(same) > 1:
+            raise NonConstantC1(f"equal moment values at P_{same[0]} and P_{same[1]}")
+    if c <= 0:
+        raise NonPositiveC1(f"common c1 coefficient {c} is not positive")
+    return c, gs[0] + c * phis[0]
+
+
 def c1_coefficient(data: FixedPointData) -> Fraction:
     """The constant C with c_1(M) = C * [omega].
 
@@ -128,38 +156,13 @@ def c1_coefficient(data: FixedPointData) -> Fraction:
     pairs must agree and the common value must be positive, otherwise
     the datum cannot come from a Hamiltonian action with b_2 = 1.
     """
-    gs = _gammas(data)
-    phis = data.moment_values
-    c = None
-    for i in range(data.n + 1):
-        for j in range(i + 1, data.n + 1):
-            if phis[j] == phis[i]:
-                raise NonConstantC1(f"equal moment values at P_{i} and P_{j}")
-            q = Fraction(gs[i] - gs[j]) / (phis[j] - phis[i])
-            if c is None:
-                c = q
-            elif q != c:
-                raise NonConstantC1(
-                    f"pair (0,1) gives {c} but pair ({i},{j}) gives {q}"
-                )
-    assert c is not None
-    if c <= 0:
-        raise NonPositiveC1(f"common c1 coefficient {c} is not positive")
-    return c
+    return _affine_fit(data)[0]
 
 
 def condition_d_offset(data: FixedPointData) -> Fraction:
-    """The constant d with Gamma_i = C * (-phi_i) + d for all i."""
-    c = c1_coefficient(data)
-    gs = _gammas(data)
-    phis = data.moment_values
-    d = gs[0] + c * phis[0]
-    for i in range(1, data.n + 1):
-        if gs[i] + c * phis[i] != d:
-            raise ConditionDViolated(
-                f"Gamma_{i} + C*phi_{i} = {gs[i] + c * phis[i]} differs from {d}"
-            )
-    return d
+    """The constant d with Gamma_i = C * (-phi_i) + d for all i; it
+    exists exactly when ``c1_coefficient`` does."""
+    return _affine_fit(data)[1]
 
 
 def _require_distinct_gammas(gs: list[int]):
@@ -222,10 +225,10 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
     converted to the x-basis through gamma_i = scalar * r_i.
     """
     n = data.n
+    r = ring_coefficients(data).r  # raises DegenerateGamma on equal Gammas
     gs = _gammas(data)
-    _require_distinct_gammas(gs)
+    lambdas = [lambda_all(data, k) for k in range(n + 1)]
     sigma = _sigma_table(data)
-    r = ring_coefficients(data).r
 
     gammas: list[Fraction] = []
     for i in range(1, n + 1):
@@ -236,7 +239,7 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
             acc += (
                 Fraction(sigma[k][i])
                 * prod((Fraction(gs[k] - gs[j]) for j in range(i + 1, n + 1)), start=Fraction(1))
-                / lambda_all(data, k)
+                / lambdas[k]
             )
         scalar_plus = plus * acc
 

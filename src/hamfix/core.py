@@ -140,8 +140,11 @@ def gamma(data: FixedPointData, i: int) -> int:
 
 
 def lambda_all(data: FixedPointData, i: int) -> int:
-    """Product of all weights at P_i."""
-    return prod(_check_index(data, i).weights)
+    """Product of all weights at P_i; StructureError if one is zero."""
+    weights = _check_index(data, i).weights
+    if 0 in weights:
+        raise StructureError(f"zero weight at point {i}")
+    return prod(weights)
 
 
 def lambda_minus(data: FixedPointData, i: int) -> int:

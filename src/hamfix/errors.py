@@ -21,10 +21,6 @@ class NonPositiveC1(HamfixError):
     """The common quotient C exists but is not positive."""
 
 
-class ConditionDViolated(HamfixError):
-    """sum(weights at P_i) + C*phi(P_i) is not the same for all points."""
-
-
 class DegenerateGamma(HamfixError):
     """Two points share the same weight sum; generator formulas divide by zero."""
 
@@ -67,10 +63,6 @@ class SearchBudgetExceeded(HamfixError):
 
 class InconsistentGamma(HamfixError):
     """Weight multisets cannot be ordered into consistent fixed point data."""
-
-
-class NoPositiveScale(HamfixError):
-    """No positive moment scale is compatible with the weight sums."""
 
 
 class ParseError(HamfixError):

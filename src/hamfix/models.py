@@ -11,7 +11,9 @@ points at moment values -b_i and b_i with weights
 ``expected_weights_cpn`` / ``expected_weights_quadric`` build, from the
 moment values alone, the unique weight system a datum with the
 corresponding cohomology ring must carry: all pairwise moment gaps, with
-the antipodal gap halved in the quadric case.
+the antipodal gap halved in the quadric case.  These are the models'
+weights, so the model constructors only check their parameters and
+call ``expected_weights_*``: one construction path per ring.
 """
 
 from __future__ import annotations
@@ -55,14 +57,10 @@ def cpn_model(b: Sequence[int]) -> FixedPointData:
         raise DuplicateB(f"exponents must be pairwise distinct, got {list(b)}")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
-    points = tuple(
-        FixedPoint(i, rat(bi), tuple(bj - bi for j, bj in enumerate(bs) if j != i))
-        for i, bi in enumerate(bs)
-    )
-    return FixedPointData(len(bs) - 1, points)
+    return expected_weights_cpn(bs)
 
 
-def quadric_model(b: Sequence[int], n: int | None = None) -> FixedPointData:
+def quadric_model(b: Sequence[int]) -> FixedPointData:
     """Oriented 2-plane Grassmannian data for rotation exponents ``b``.
 
     ``b`` holds (n+1)/2 nonzero integers with pairwise distinct absolute
@@ -70,39 +68,14 @@ def quadric_model(b: Sequence[int], n: int | None = None) -> FixedPointData:
     used as b_0 > b_1 > ... > 0, which lists the moment values
     -b_0 < ... < -b_last < b_last < ... < b_0 in increasing order.
     """
-    if n is not None:
-        if n % 2 == 0:
-            raise EvenN(f"quadric model requires odd n, got {n}")
-        if n < 3:
-            raise StructureError(f"quadric model requires n >= 3, got {n}")
-        if len(b) != (n + 1) // 2:
-            raise StructureError(
-                f"need (n+1)/2 = {(n + 1) // 2} exponents for n = {n}, got {len(b)}"
-            )
     if any(v == 0 for v in b):
         raise ZeroB("exponents must be nonzero")
     bs = sorted((abs(v) for v in b), reverse=True)
     if len(set(bs)) != len(bs):
         raise DuplicateAbsB(f"exponents must have distinct absolute values, got {list(b)}")
-    if n is None:
-        n = 2 * len(bs) - 1
-        if n < 3:
-            raise StructureError("need at least two exponents")
-
-    half = len(bs)
-    points: list[FixedPoint] = []
-    for i, bi in enumerate(bs):
-        low = [bj + bi for j, bj in enumerate(bs) if j != i]
-        low += [-bj + bi for j, bj in enumerate(bs) if j != i]
-        low.append(bi)
-        points.append(FixedPoint(i, rat(-bi), tuple(low)))
-    for i in range(half - 1, -1, -1):
-        bi = bs[i]
-        high = [bj - bi for j, bj in enumerate(bs) if j != i]
-        high += [-bj - bi for j, bj in enumerate(bs) if j != i]
-        high.append(-bi)
-        points.append(FixedPoint(n - i, rat(bi), tuple(high)))
-    return FixedPointData(n, tuple(points))
+    if len(bs) < 2:
+        raise StructureError("need at least two exponents")
+    return expected_weights_quadric([-v for v in bs] + bs[::-1])
 
 
 def expected_weights_cpn(phis: Sequence[int]) -> FixedPointData:

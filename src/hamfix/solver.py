@@ -46,7 +46,6 @@ from .core import FixedPointData, rat, validate
 from .errors import (
     HamfixError,
     InconsistentGamma,
-    NoPositiveScale,
     SearchBudgetExceeded,
     SpecMismatch,
 )
@@ -372,10 +371,9 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
                 f"multiset ranked {i} by weight sum has {k} negative weights, expected {i}"
             )
 
+    # C > 0: Gamma_0 > Gamma_1 (sorted, no ties) and lam1 < 0.
     lam1 = next(w for w in ordered[1] if w < 0)
     c = Fraction(gammas[0] - gammas[1], -lam1)
-    if c <= 0:
-        raise NoPositiveScale(f"inferred scale C = {c} is not positive")
     return [Fraction(gammas[0] - g) / c for g in gammas]
 
 

@@ -20,21 +20,21 @@ from hamfix import (
     RingSpec,
     c1_coefficient,
     chern_coefficients,
+    classify_ring,
     cpn_model,
     enumerate_weight_systems,
-    expected_weights_cpn,
-    expected_weights_quadric,
     gradient_graph,
     infer_moment_values,
     parse_document,
     quadric_model,
+    reference_chern,
     ring_coefficients,
     serialize_document,
     validate,
     vanishing_battery,
 )
 
-from conftest import quadric_b_lists
+from conftest import cpn_b_lists, quadric_b_lists
 from test_cohomology import cpn_chern_oracle, quadric_chern_oracle
 from test_solver import _all_divisor_systems
 
@@ -197,18 +197,33 @@ def test_criterion_7a_translation_invariance(b, c):
     assert after.volume == before.volume
 
 
+def _assert_model_is_forced(spec, data, c1, volume):
+    """The model round-trips through the ring: its moment values and ring
+    leave the solver (tied to brute force by 7d) exactly one system, the
+    model, which passes every check and has the model's invariants."""
+    phis = [int(v) for v in data.moment_values]
+    assert enumerate_weight_systems(spec, phis) == [data]
+    assert validate(data).is_valid
+    battery = vanishing_battery(data)
+    assert battery.passed and battery.volume == volume
+    assert classify_ring(ring_coefficients(data)) == spec
+    assert c1_coefficient(data) == c1
+    assert chern_coefficients(data).gamma == reference_chern(spec.kind, spec.n)
+
+
 @settings(max_examples=200)
-@given(st.one_of(st.lists(st.integers(-8, 8), min_size=2, max_size=6, unique=True)))
+@given(cpn_b_lists())
 def test_criterion_7b_cpn_round_trip(b):
     data = cpn_model(b)
-    assert expected_weights_cpn([int(v) for v in data.moment_values]) == data
+    spec = RingSpec(RingKind.PROJECTIVE_SPACE, data.n)
+    _assert_model_is_forced(spec, data, c1=data.n + 1, volume=1)
 
 
 @settings(max_examples=200)
-@given(quadric_b_lists())
+@given(quadric_b_lists(ns=(3, 5, 7)))
 def test_criterion_7b_quadric_round_trip(b):
     data = quadric_model(b)
-    assert expected_weights_quadric([int(v) for v in data.moment_values]) == data
+    _assert_model_is_forced(RingSpec(RingKind.QUADRIC, data.n), data, c1=data.n, volume=2)
 
 
 @settings(max_examples=200)

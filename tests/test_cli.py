@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +170,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         "--no-integrality": [],
         "--budget": ["5"],
         "--jobs": ["2"],
+        "--n": ["3"],
     }
     file_flags = {"--json", "--out", "--normalize", "--no-integrality"}
     solver_flags = {"--json", "--out", "--budget"}
@@ -205,7 +208,7 @@ def test_model_cpn_round_trips_through_check(tmp_path, capsys):
 
 
 def test_model_quadric_document(tmp_path, capsys):
-    assert main(["model", "quadric", "--n", "3", "--b", "2,1"]) == 0
+    assert main(["model", "quadric", "--b", "2,1"]) == 0
     doc = capsys.readouterr().out
     obj = json.loads(doc)
     assert obj["n"] == 3
@@ -214,9 +217,16 @@ def test_model_quadric_document(tmp_path, capsys):
 
 def test_model_invalid_params_exit_2(capsys):
     assert main(["model", "cpn", "--b", "0,0,1"]) == 2
-    assert main(["model", "quadric", "--n", "4", "--b", "2,1"]) == 2
-    assert main(["model", "quadric", "--n", "3", "--b", "2,0"]) == 2
+    assert main(["model", "quadric", "--b", "2"]) == 2
+    assert main(["model", "quadric", "--b", "2,0"]) == 2
     assert main(["model", "cpn", "--b", "0,1,zzz"]) == 2
+
+
+def test_empty_list_entries_exit_2(capsys):
+    assert main(["solve", "--ring", "cpn", "--phi", "0,,1"]) == 2
+    assert "--phi: expected comma-separated integers" in capsys.readouterr().err
+    assert main(["model", "cpn", "--b", "0,,1"]) == 2
+    assert "--b: expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_solve_unique(capsys):
@@ -303,3 +313,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4
+
+
+def _readme_block(heading, language):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line, comments=True)
+        for line in _readme_block("CLI", "sh").splitlines()
+        if line.startswith("hamfix ")
+    ]
+    assert commands
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    exec(_readme_block("Library", "python"), {})

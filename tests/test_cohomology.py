@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
     DegenerateGamma,
     FixedPointData,
+    HamfixError,
     NonConstantC1,
     NonPositiveC1,
     RingCoefficients,
@@ -16,6 +18,7 @@ from hamfix import (
     classify_ring,
     condition_d_offset,
     cpn_model,
+    gamma,
     quadric_model,
     reference_chern,
     ring_coefficients,
@@ -84,6 +87,60 @@ def test_c1_non_positive():
     data = FixedPointData.from_weights([0, 1], [(-1,), (1,)])
     with pytest.raises(NonPositiveC1):
         c1_coefficient(data)
+
+
+def test_c1_names_first_equal_pair():
+    phis = [0, 2, 3, 3, 2]
+    data = FixedPointData.from_weights(phis, [(-p - 3, 1, 1, 1) for p in phis])
+    for measure in (c1_coefficient, condition_d_offset):
+        with pytest.raises(NonConstantC1, match="^equal moment values at P_1 and P_4$"):
+            measure(data)
+
+
+@st.composite
+def _fit_data(draw):
+    """Weight sums on a line Gamma = -C*phi + d (C = c/scale, possibly <= 0),
+    or perturbed off it; moment values from a small range, distinct in
+    about half the cases."""
+    n = draw(st.integers(1, 5))
+    scale = draw(st.integers(1, 3))
+    distinct = draw(st.booleans())
+    steps = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1, unique=distinct))
+    c, d = draw(st.integers(-2, 4)), draw(st.integers(-5, 5))
+    sums = [-c * k + d for k in steps]
+    if draw(st.booleans()):
+        sums[draw(st.integers(0, n))] += draw(st.sampled_from((-1, 1)))
+    weights = []
+    for s in sums:
+        rest = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+        weights.append([s - sum(rest)] + rest)
+    return FixedPointData.from_weights([scale * k for k in steps], weights)
+
+
+@settings(max_examples=200)
+@given(_fit_data())
+def test_affine_fit_matches_its_definition(data):
+    # C is the common quotient (Gamma_i - Gamma_j) / (phi_j - phi_i) over
+    # ALL pairs, and must be positive; d = Gamma_i + C*phi_i for every i.
+    gs = [gamma(data, i) for i in range(data.n + 1)]
+    phis = data.moment_values
+    pairs = list(combinations(range(data.n + 1), 2))
+    quotients = {
+        Fraction(gs[i] - gs[j]) / (phis[j] - phis[i]) for i, j in pairs if phis[i] != phis[j]
+    }
+    if any(phis[i] == phis[j] for i, j in pairs) or len(quotients) != 1:
+        expected = NonConstantC1
+    else:
+        (c,) = quotients
+        expected = NonPositiveC1 if c <= 0 else None
+    if expected is None:
+        assert c1_coefficient(data) == c
+        assert {gs[i] + c * phis[i] for i in range(data.n + 1)} == {condition_d_offset(data)}
+    else:
+        for measure in (c1_coefficient, condition_d_offset):
+            with pytest.raises(HamfixError) as exc:
+                measure(data)
+            assert type(exc.value) is expected
 
 
 def test_condition_d_examples():

@@ -9,7 +9,9 @@ from hamfix import (
     BatteryReport,
     FixedPoint,
     FixedPointData,
+    StructureError,
     abbv_sum,
+    chern_coefficients,
     cpn_model,
     gamma,
     quadric_model,
@@ -63,6 +65,14 @@ def test_abbv_sum_quadric_degree():
 def test_abbv_sum_missing_restriction():
     with pytest.raises(ValueError):
         abbv_sum(cpn_model((0, 1)), [1])
+
+
+def test_zero_weight_is_a_structure_error():
+    for phis, weights in (([0, 1], [[1], [0]]), ([0, 1, 2], [[1, 2], [-1, 1], [-2, 0]])):
+        data = FixedPointData.from_weights(phis, weights)
+        for measure in (vanishing_battery, lambda d: abbv_sum(d, [1] * len(phis)), chern_coefficients):
+            with pytest.raises(StructureError, match=f"^zero weight at point {data.n}$"):
+                measure(data)
 
 
 @given(cpn_b_lists(max_n=4), st.integers(-5, 5), st.integers(-5, 5))

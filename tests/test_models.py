@@ -6,8 +6,10 @@ from hamfix import (
     DuplicateAbsB,
     DuplicateB,
     EvenN,
+    FixedPointData,
     NonIncreasing,
     OddHalfWeight,
+    StructureError,
     ZeroB,
     cpn_model,
     expected_weights_cpn,
@@ -56,15 +58,13 @@ def test_quadric_model_absorbs_signs_and_order():
 
 def test_quadric_model_errors():
     with pytest.raises(ZeroB):
-        quadric_model((2, 0), 3)
-    with pytest.raises(EvenN):
-        quadric_model((2, 1), 4)
+        quadric_model((2, 0))
     with pytest.raises(DuplicateAbsB):
         quadric_model((2, -2))
-
-
-def test_expected_weights_cpn_matches_model():
-    assert expected_weights_cpn((0, 1, 2)) == cpn_model((0, 1, 2))
+    with pytest.raises(StructureError, match="need at least two exponents"):
+        quadric_model((2,))
+    with pytest.raises(EvenN):
+        expected_weights_quadric((-2, -1, 1, 2, 3))
 
 
 def test_expected_weights_cpn_gaps():
@@ -75,11 +75,6 @@ def test_expected_weights_cpn_gaps():
 def test_expected_weights_cpn_non_increasing():
     with pytest.raises(NonIncreasing):
         expected_weights_cpn((1, 1, 2))
-
-
-def test_expected_weights_quadric_matches_model():
-    assert expected_weights_quadric((-2, -1, 1, 2)) == quadric_model((2, 1))
-    assert expected_weights_quadric((-3, -2, -1, 1, 2, 3)) == quadric_model((3, 2, 1))
 
 
 def test_expected_weights_quadric_odd_gap():
@@ -93,16 +88,36 @@ def test_expected_weights_quadric_asymmetric_moments():
     assert validate(data).is_valid
 
 
+def _diagonal_action(b):
+    """Weights of the diagonal action on CP^n: {b_j - b_i} at P_i."""
+    bs = sorted(b)
+    return FixedPointData.from_weights(bs, [[c - a for c in bs if c != a] for a in bs])
+
+
+def _rotation_action(b):
+    """Weights of the rotation action on the 2-plane Grassmannian: at the
+    fixed point -b_i, {b_j + b_i, -b_j + b_i}_{j != i} + {b_i}; at +b_i,
+    their negatives."""
+    bs = sorted((abs(v) for v in b), reverse=True)
+    low = {-a: [s * c + a for c in bs if c != a for s in (1, -1)] + [a] for a in bs}
+    phis = sorted(low) + sorted(-p for p in low)
+    weights = [low[p] if p < 0 else [-w for w in low[-p]] for p in phis]
+    return FixedPointData.from_weights(phis, weights)
+
+
 @given(cpn_b_lists())
 def test_expected_weights_cpn_round_trip(b):
-    data = cpn_model(b)
-    assert expected_weights_cpn([int(v) for v in data.moment_values]) == data
+    # The action's weights are the ones its moment values force, and the model's.
+    action = _diagonal_action(b)
+    assert expected_weights_cpn([int(v) for v in action.moment_values]) == action
+    assert cpn_model(b) == action
 
 
-@given(quadric_b_lists())
+@given(quadric_b_lists(ns=(3, 5, 7)))
 def test_expected_weights_quadric_round_trip(b):
-    data = quadric_model(b)
-    assert expected_weights_quadric([int(v) for v in data.moment_values]) == data
+    action = _rotation_action(b)
+    assert expected_weights_quadric([int(v) for v in action.moment_values]) == action
+    assert quadric_model(b) == action
 
 
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=7, unique=True))
