@@ -1,9 +1,14 @@
 """Command line surface: check, ring, chern, model, solve, verify.
 
+Each report command builds one payload and one list of text lines and
+hands both to ``_report``, which writes the JSON object under ``--json``
+and the lines otherwise; ``model`` writes its document directly.
+
 Exit codes are a contract: 0 all checks passed, 1 some check or
 implication failed, 2 unreadable or invalid input, 3 search budget
-exceeded.  ``ring`` and ``chern`` refuse (exit 1) data that fails
-``validate`` or condition D, since their formulas are meaningless there.
+exceeded.  ``main`` maps every error to its code in one place.
+``ring`` and ``chern`` refuse (exit 1) data that fails ``validate`` or
+condition D, since their formulas are meaningless there.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .cohomology import (
     condition_d_offset,
     ring_coefficients,
 )
-from .core import validate
+from .core import FixedPointData, validate
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .localization import vanishing_battery
@@ -36,6 +41,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 _MODELS = {"cpn": cpn_model, "quadric": quadric_model}
+_RINGS = {"cpn": RingKind.PROJECTIVE_SPACE, "quadric": RingKind.QUADRIC, "other": RingKind.OTHER}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,32 +70,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[document], help="run all consistency checks on a file")
-    p.add_argument("file")
-
-    p = sub.add_parser("ring", parents=[document], help="ring coefficients and classification")
-    p.add_argument("file")
-
-    p = sub.add_parser("chern", parents=[document], help="Chern coefficients and sigma tables")
-    p.add_argument("file")
+    for name, run, text in (
+        ("check", _cmd_check, "run all consistency checks on a file"),
+        ("ring", _cmd_ring, "ring coefficients and classification"),
+        ("chern", _cmd_chern, "Chern coefficients and sigma tables"),
+    ):
+        p = sub.add_parser(name, parents=[document], help=text)
+        p.set_defaults(run=run)
+        p.add_argument("file")
 
     p = sub.add_parser("model", parents=[out], help="write a standard model document")
+    p.set_defaults(run=_cmd_model)
     p.add_argument("kind", choices=list(_MODELS))
     p.add_argument("--b", required=True, metavar="LIST", help="comma-separated exponents")
 
-    p = sub.add_parser("solve", parents=[search], help="enumerate consistent weight systems")
-    _add_ring_args(p)
-
-    p = sub.add_parser("verify", parents=[search], help="verify the four ring equivalences")
-    _add_ring_args(p)
+    for name, run, text in (
+        ("solve", _cmd_solve, "enumerate consistent weight systems"),
+        ("verify", _cmd_verify, "verify the four ring equivalences"),
+    ):
+        p = sub.add_parser(name, parents=[search], help=text)
+        p.set_defaults(run=run)
+        p.add_argument("--ring", required=True, choices=list(_RINGS))
+        p.add_argument("--phi", required=True, metavar="LIST", help="comma-separated moment values")
+        p.add_argument("--r", metavar="LIST", help="r-sequence for --ring other, e.g. 1,1,1/5,1/5")
 
     return parser
-
-
-def _add_ring_args(p: argparse.ArgumentParser):
-    p.add_argument("--ring", required=True, choices=["cpn", "quadric", "other"])
-    p.add_argument("--phi", required=True, metavar="LIST", help="comma-separated moment values")
-    p.add_argument("--r", metavar="LIST", help="r-sequence for --ring other, e.g. 1,1,1/5,1/5")
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -101,20 +106,15 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 def _ring_spec(args) -> tuple[RingSpec, list[int]]:
     phis = _parse_int_list(args.phi, "--phi")
-    n = len(phis) - 1
-    if args.ring == "cpn":
-        spec = RingSpec(RingKind.PROJECTIVE_SPACE, n)
-    elif args.ring == "quadric":
-        spec = RingSpec(RingKind.QUADRIC, n)
-    else:
+    r = None
+    if args.ring == "other":
         if not args.r:
             raise ParseError("--r", "an r-sequence is required with --ring other")
         try:
             r = tuple(Fraction(part.strip()) for part in args.r.split(","))
         except (ValueError, ZeroDivisionError):
             raise ParseError("--r", f"expected comma-separated rationals, got {args.r!r}") from None
-        spec = RingSpec(RingKind.OTHER, n, r)
-    return spec, phis
+    return RingSpec(_RINGS[args.ring], len(phis) - 1, r), phis
 
 
 def _emit(args, text: str):
@@ -125,11 +125,18 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _load(args) -> InputDocument:
-    doc = load_document(args.file)
-    if args.normalize:
-        doc = InputDocument(doc.data.normalized(), doc.meta)
-    return doc
+def _report(args, payload: dict, lines: list[str], code: int = EXIT_OK) -> int:
+    """Write ``payload`` as JSON under ``--json``, else the text lines."""
+    if args.json:
+        _emit(args, json.dumps({"command": args.command, **payload}, indent=2) + "\n")
+    else:
+        _emit(args, "\n".join(lines) + "\n")
+    return code
+
+
+def _load(args) -> FixedPointData:
+    data = load_document(args.file).data
+    return data.normalized() if args.normalize else data
 
 
 def _refuse_inconsistent(args, data) -> bool:
@@ -166,8 +173,7 @@ def _chern_polynomial(gamma) -> str:
 
 
 def _cmd_check(args) -> int:
-    doc = _load(args)
-    data = doc.data
+    data = _load(args)
     checks: list[dict] = []
 
     report = validate(data, require_integral_differences=not args.no_integrality)
@@ -199,72 +205,42 @@ def _cmd_check(args) -> int:
             checks.append({"name": name, "passed": False, "detail": "not run: validation failed"})
 
     passed = all(c["passed"] for c in checks)
-    if args.json:
-        _emit(args, _json_report({"command": "check", "n": data.n, "passed": passed, "checks": checks}))
-    else:
-        lines = []
-        for c in checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            suffix = f": {c['detail']}" if c["detail"] else ""
-            lines.append(f"{status}  {c['name']}{suffix}")
-        lines.append("all checks passed" if passed else "some checks failed")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    lines = [
+        f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
+        + (f": {c['detail']}" if c["detail"] else "")
+        for c in checks
+    ]
+    lines.append("all checks passed" if passed else "some checks failed")
+    payload = {"n": data.n, "passed": passed, "checks": checks}
+    return _report(args, payload, lines, EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
 def _cmd_ring(args) -> int:
-    doc = _load(args)
-    if _refuse_inconsistent(args, doc.data):
+    data = _load(args)
+    if _refuse_inconsistent(args, data):
         return EXIT_CHECK_FAILED
-    rc = ring_coefficients(doc.data)
-    spec = classify_ring(rc)
-    if args.json:
-        _emit(
-            args,
-            _json_report(
-                {
-                    "command": "ring",
-                    "n": rc.n,
-                    "r": [str(v) for v in rc.r],
-                    "classification": str(spec.kind),
-                    "passed": True,
-                }
-            ),
-        )
-    else:
-        _emit(
-            args,
-            f"r = {_format_rat_list(rc.r)}\nclassification: {spec.kind}\n",
-        )
-    return EXIT_OK
+    rc = ring_coefficients(data)
+    kind = classify_ring(rc).kind
+    payload = {"n": rc.n, "r": [str(v) for v in rc.r], "classification": str(kind), "passed": True}
+    return _report(args, payload, [f"r = {_format_rat_list(rc.r)}", f"classification: {kind}"])
 
 
 def _cmd_chern(args) -> int:
-    doc = _load(args)
-    if _refuse_inconsistent(args, doc.data):
+    data = _load(args)
+    if _refuse_inconsistent(args, data):
         return EXIT_CHECK_FAILED
-    chern = chern_coefficients(doc.data)
-    if args.json:
-        _emit(
-            args,
-            _json_report(
-                {
-                    "command": "chern",
-                    "n": chern.n,
-                    "polynomial": _chern_polynomial(chern.gamma),
-                    "gamma": [str(v) for v in chern.gamma],
-                    "sigma": [list(row) for row in chern.sigma],
-                    "passed": True,
-                }
-            ),
-        )
-    else:
-        lines = [f"c = {_chern_polynomial(chern.gamma)}"]
-        lines.append(f"gamma = {_format_rat_list(chern.gamma)}")
-        for i, row in enumerate(chern.sigma):
-            lines.append(f"sigma P_{i}: {_format_rat_list(row)}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    chern = chern_coefficients(data)
+    polynomial = _chern_polynomial(chern.gamma)
+    payload = {
+        "n": chern.n,
+        "polynomial": polynomial,
+        "gamma": [str(v) for v in chern.gamma],
+        "sigma": [list(row) for row in chern.sigma],
+        "passed": True,
+    }
+    lines = [f"c = {polynomial}", f"gamma = {_format_rat_list(chern.gamma)}"]
+    lines += [f"sigma P_{i}: {_format_rat_list(row)}" for i, row in enumerate(chern.sigma)]
+    return _report(args, payload, lines)
 
 
 def _cmd_model(args) -> int:
@@ -278,92 +254,54 @@ def _cmd_model(args) -> int:
 def _cmd_solve(args) -> int:
     spec, phis = _ring_spec(args)
     systems = enumerate_weight_systems(spec, phis, budget=args.budget)
-    if args.json:
-        payload = {
-            "command": "solve",
-            "ring": str(spec.kind),
-            "n": spec.n,
-            "count": len(systems),
-            "systems": [
-                json.loads(serialize_document(InputDocument(d))) for d in systems
-            ],
-        }
-        _emit(args, _json_report(payload))
-    else:
-        count = len(systems)
-        lines = [f"{count} system found" if count == 1 else f"{count} systems found"]
-        for k, data in enumerate(systems, start=1):
-            lines.append(f"system {k}: phi = {_format_rat_list(data.moment_values)}")
-            for p in data.points:
-                lines.append(f"  P_{p.index}: {_format_rat_list(p.weights)}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    count = len(systems)
+    payload = {
+        "ring": str(spec.kind),
+        "n": spec.n,
+        "count": count,
+        "systems": [json.loads(serialize_document(InputDocument(d))) for d in systems],
+    }
+    lines = [f"{count} system found" if count == 1 else f"{count} systems found"]
+    for k, data in enumerate(systems, start=1):
+        lines.append(f"system {k}: phi = {_format_rat_list(data.moment_values)}")
+        lines += [f"  P_{p.index}: {_format_rat_list(p.weights)}" for p in data.points]
+    return _report(args, payload, lines)
 
 
 def _cmd_verify(args) -> int:
     spec, phis = _ring_spec(args)
     report = verify_equivalence(spec, phis, budget=args.budget)
-    if args.json:
-        payload = {
-            "command": "verify",
-            "ring": str(spec.kind),
-            "n": spec.n,
-            "passed": report.passed,
-            "count": report.system_count,
-            "implications": [
-                {"name": line.name, "passed": line.passed, "detail": line.detail}
-                for line in report.lines
-            ],
-        }
-        _emit(args, _json_report(payload))
-    else:
-        lines = []
-        for line in report.lines:
-            status = "PASS" if line.passed else "FAIL"
-            lines.append(f"{status}  {line.name}: {line.detail}")
-        lines.append("equivalences verified" if report.passed else "verification failed")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _json_report(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "ring": _cmd_ring,
-    "chern": _cmd_chern,
-    "model": _cmd_model,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-}
+    payload = {
+        "ring": str(spec.kind),
+        "n": spec.n,
+        "passed": report.passed,
+        "count": report.system_count,
+        "implications": [
+            {"name": line.name, "passed": line.passed, "detail": line.detail}
+            for line in report.lines
+        ],
+    }
+    lines = [
+        f"{'PASS' if line.passed else 'FAIL'}  {line.name}: {line.detail}" for line in report.lines
+    ]
+    lines.append("equivalences verified" if report.passed else "verification failed")
+    return _report(args, payload, lines, EXIT_OK if report.passed else EXIT_CHECK_FAILED)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ParseError as exc:
+        return args.run(args)
+    except (HamfixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except HamfixError as exc:
-        code = _error_exit_code(args.command)
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-
-
-def _error_exit_code(command: str) -> int:
-    # Bad parameters to generators and solvers are input errors; a file
-    # that parses but defeats the invariant formulas is a failed check.
-    return EXIT_INPUT_ERROR if command in ("model", "solve", "verify") else EXIT_CHECK_FAILED
+        if isinstance(exc, SearchBudgetExceeded):
+            return EXIT_BUDGET
+        # Bad parameters to generators and solvers are input errors; a file
+        # that parses but defeats the invariant formulas is a failed check.
+        if isinstance(exc, (ParseError, OSError)) or args.command in ("model", "solve", "verify"):
+            return EXIT_INPUT_ERROR
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

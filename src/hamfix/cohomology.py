@@ -263,18 +263,16 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
 
 
 def classify_ring(rc: RingCoefficients) -> RingSpec:
-    """Recognize the r-sequence as projective space, odd quadric, or other."""
-    n = rc.n
-    if all(v == 1 for v in rc.r):
-        return RingSpec(RingKind.PROJECTIVE_SPACE, n)
-    if n >= 3 and n % 2 == 1:
-        half = (n + 1) // 2
-        quadric = all(
-            v == (1 if i < half else Fraction(1, 2)) for i, v in enumerate(rc.r)
-        )
-        if quadric:
-            return RingSpec(RingKind.QUADRIC, n)
-    return RingSpec(RingKind.OTHER, n, rc.r)
+    """Recognize the r-sequence as projective space, odd quadric, or other:
+    the first model ring of dimension n whose ``r_sequence`` it equals."""
+    for kind in (RingKind.PROJECTIVE_SPACE, RingKind.QUADRIC):
+        try:
+            spec = RingSpec(kind, rc.n)
+        except SpecMismatch:  # no model ring of this kind in dimension n
+            continue
+        if spec.r_sequence() == tuple(rc.r):
+            return spec
+    return RingSpec(RingKind.OTHER, rc.n, rc.r)
 
 
 def reference_chern(kind: RingKind, n: int) -> tuple[int, ...]:

@@ -19,14 +19,13 @@ never a uniqueness claim.
 Every assembled candidate must meet the mirrored positive-weight
 product targets and survive validation, a constant condition-D offset
 (which requires a constant positive c1 coefficient) and the full
-vanishing battery.  The search is single-threaded and bounded by a
-budget (``budget=`` or the ``HAMFIX_BUDGET`` environment variable).
+vanishing battery.  The search is single-threaded and bounded by the
+``budget=`` argument (``--budget`` on the command line).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -52,26 +51,11 @@ from .errors import (
 from .localization import vanishing_battery
 from .models import _check_increasing_ints, expected_weights_cpn, expected_weights_quadric
 
-#: Environment variable consulted for the default search budget.
-BUDGET_ENV_VAR = "HAMFIX_BUDGET"
 DEFAULT_BUDGET = 200_000
-
-
-def _effective_budget(budget: int | None) -> int:
-    """``budget``, else the ``HAMFIX_BUDGET`` value, else DEFAULT_BUDGET."""
-    source = "budget"
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None:
-            return DEFAULT_BUDGET
-        source = BUDGET_ENV_VAR
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise SpecMismatch(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise SpecMismatch(f"{source} must be nonnegative, got {budget}")
-    return budget
+_EXPECTED_WEIGHTS = {
+    RingKind.PROJECTIVE_SPACE: expected_weights_cpn,
+    RingKind.QUADRIC: expected_weights_quadric,
+}
 
 
 def _checked_phis(spec: RingSpec, phis: Sequence[int]) -> list[int]:
@@ -195,15 +179,18 @@ def enumerate_weight_systems(
     validation, condition-D constancy and the vanishing battery.  The
     result is deduplicated and sorted by flattened weight lists.
 
-    ``budget`` (default: ``HAMFIX_BUDGET``, else 200000) caps both the
-    assignments found at one point and the number of candidate systems;
-    exceeding it raises SearchBudgetExceeded rather than truncating.
+    ``budget`` (default 200000) caps both the assignments found at one
+    point and the number of candidate systems; exceeding it raises
+    SearchBudgetExceeded rather than truncating.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
     targets = lambda_minus_targets(spec, vals)
     pos_targets = positive_targets(spec, vals)
-    budget = _effective_budget(budget)
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    elif budget < 0:
+        raise SpecMismatch(f"budget must be nonnegative, got {budget}")
 
     per_point: list[list[tuple[int, ...]]] = []
     for i in range(1, n + 1):
@@ -259,8 +246,9 @@ def verify_equivalence(
     the standard one built from the moment values; (4)=>(2): that
     system's measured ring classifies back to the requested ring;
     (4)=>(3): its Chern coefficients match the reference series;
-    (4)=>(1): its c1 coefficient is n+1 (projective space) or n
-    (quadric).  ``budget`` is passed to ``enumerate_weight_systems``.
+    (4)=>(1): its c1 coefficient is the degree-1 term of that series,
+    n+1 (projective space) or n (quadric).  ``budget`` is passed to
+    ``enumerate_weight_systems``.
     """
     if spec.kind is RingKind.OTHER:
         raise SpecMismatch("equivalence verification is defined for the model rings only")
@@ -269,10 +257,7 @@ def verify_equivalence(
 
     expected: FixedPointData | None
     try:
-        if spec.kind is RingKind.PROJECTIVE_SPACE:
-            expected = expected_weights_cpn(vals)
-        else:
-            expected = expected_weights_quadric(vals)
+        expected = _EXPECTED_WEIGHTS[spec.kind](vals)
         expected_note = ""
     except HamfixError as exc:
         expected = None
@@ -317,8 +302,8 @@ def verify_equivalence(
         )
     )
 
-    c_expected = n + 1 if spec.kind is RingKind.PROJECTIVE_SPACE else n
-    c_label = "n+1" if spec.kind is RingKind.PROJECTIVE_SPACE else "n"
+    c_expected = reference[0]  # c1 is the degree-1 term of the total Chern class
+    c_label = "n+1" if c_expected == n + 1 else "n"
     try:
         c = c1_coefficient(expected)
         lines.append(
@@ -343,6 +328,10 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     r_2 * (phi_0 - phi_2)(phi_1 - phi_2), with r_2 read off the same
     weights, collapses algebraically to C = (Gamma_0 - Gamma_1) / |w|
     where w is the single negative weight at P_1.
+
+    The multisets at the inferred moment values must then pass
+    ``validate`` and the vanishing battery; otherwise InconsistentGamma
+    names the first violation or the first non-vanishing pair.
     """
     multisets = [tuple(sorted(ws)) for ws in weight_multisets]
     n = len(multisets) - 1
@@ -353,8 +342,6 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
             raise InconsistentGamma(
                 f"every multiset must have {n} weights, got {len(ws)}"
             )
-        if any(w == 0 for w in ws):
-            raise InconsistentGamma("zero weight in input")
 
     ordered = sorted(multisets, key=lambda ws: (-sum(ws), ws))
     gammas = [sum(ws) for ws in ordered]
@@ -374,7 +361,21 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     # C > 0: Gamma_0 > Gamma_1 (sorted, no ties) and lam1 < 0.
     lam1 = next(w for w in ordered[1] if w < 0)
     c = Fraction(gammas[0] - gammas[1], -lam1)
-    return [Fraction(gammas[0] - g) / c for g in gammas]
+    phis = [Fraction(gammas[0] - g) / c for g in gammas]
+    data = FixedPointData.from_weights(phis, ordered)
+    problems = validate(data).messages()
+    if problems:
+        raise InconsistentGamma(f"inferred moment values fail validation: {problems[0]}")
+    # With every pair vanishing the volume is positive (P_0 has no
+    # negative weight), so the failing pairs are all there is to check.
+    battery = vanishing_battery(data)
+    if battery.failures:
+        f = battery.failures[0]
+        raise InconsistentGamma(
+            f"inferred moment values fail the vanishing battery at (a, b) = "
+            f"({f.a}, {f.b}) with value {f.value}"
+        )
+    return phis
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,17 @@ def test_infer_rejects_bad_counts():
         infer_moment_values([(1, 2), (2, 3), (-2, -1)])
 
 
+def test_infer_rejects_inconsistent_multisets():
+    # phi = 0, 1, 8 passes validate, but the battery's (0, 0) sum is 1/3
+    with pytest.raises(InconsistentGamma, match=r"battery at \(a, b\) = \(0, 0\) with value 1/3"):
+        infer_moment_values([(1, 2), (-1, 3), (-2, -3)])
+    # phi = 0, 2, 26/5 has a non-integral moment gap
+    with pytest.raises(InconsistentGamma, match="fail validation: moment difference"):
+        infer_moment_values([(2, 4), (-2, 3), (-3, -4)])
+    with pytest.raises(InconsistentGamma, match="fail validation: zero weight at point 1"):
+        infer_moment_values([(1, 1), (-1, 0), (-3, -1)])
+
+
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5, unique=True))
 def test_infer_round_trip_property(b):
     data = cpn_model(b).normalized()
