@@ -24,7 +24,6 @@ from .cohomology import (
 from .core import (
     FixedPoint,
     FixedPointData,
-    Rat,
     ValidationReport,
     Violation,
     gamma,
@@ -75,10 +74,11 @@ from .models import (
 )
 from .solver import (
     AmbiguousWeight,
+    Check,
     EquivalenceReport,
     GradientSphereGraph,
-    ImplicationLine,
     SphereEdge,
+    consistency_checks,
     enumerate_weight_systems,
     gradient_graph,
     infer_moment_values,

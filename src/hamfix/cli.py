@@ -7,8 +7,8 @@ and the lines otherwise; ``model`` writes its document directly.
 Exit codes are a contract: 0 all checks passed, 1 some check or
 implication failed, 2 unreadable or invalid input, 3 search budget
 exceeded.  ``main`` maps every error to its code in one place.
-``ring`` and ``chern`` refuse (exit 1) data that fails ``validate`` or
-condition D, since their formulas are meaningless there.
+``ring`` and ``chern`` refuse (exit 1) data that fails any of
+``consistency_checks``, since their formulas are meaningless there.
 """
 
 from __future__ import annotations
@@ -19,21 +19,12 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import (
-    RingKind,
-    RingSpec,
-    c1_coefficient,
-    chern_coefficients,
-    classify_ring,
-    condition_d_offset,
-    ring_coefficients,
-)
-from .core import FixedPointData, validate
+from .cohomology import RingKind, RingSpec, chern_coefficients, classify_ring, ring_coefficients
+from .core import FixedPointData
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
-from .localization import vanishing_battery
 from .models import cpn_model, quadric_model
-from .solver import enumerate_weight_systems, verify_equivalence
+from .solver import Check, consistency_checks, enumerate_weight_systems, verify_equivalence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -134,20 +125,26 @@ def _report(args, payload: dict, lines: list[str], code: int = EXIT_OK) -> int:
     return code
 
 
-def _load(args) -> FixedPointData:
+def _load(args) -> tuple[FixedPointData, tuple[Check, ...]]:
+    """The file's data and its ``consistency_checks``."""
     data = load_document(args.file).data
-    return data.normalized() if args.normalize else data
+    if args.normalize:
+        data = data.normalized()
+    return data, consistency_checks(data, require_integral_differences=not args.no_integrality)
 
 
-def _refuse_inconsistent(args, data) -> bool:
-    """Name each validate violation on stderr and return True if there are
-    any; otherwise raise if condition D fails (``main`` reports it)."""
-    problems = validate(data, require_integral_differences=not args.no_integrality).messages()
-    for message in problems:
-        print(f"error: {message}", file=sys.stderr)
-    if not problems:
-        condition_d_offset(data)
-    return bool(problems)
+def _refused(checks: tuple[Check, ...]) -> bool:
+    """Name the first failing check's detail on stderr; True if one failed."""
+    failed = next((c for c in checks if not c.passed), None)
+    if failed is not None:
+        print(f"error: {failed.detail}", file=sys.stderr)
+    return failed is not None
+
+
+def _check_line(check: Check) -> str:
+    return f"{'PASS' if check.passed else 'FAIL'}  {check.name}" + (
+        f": {check.detail}" if check.detail else ""
+    )
 
 
 def _format_rat_list(values) -> str:
@@ -173,51 +170,17 @@ def _chern_polynomial(gamma) -> str:
 
 
 def _cmd_check(args) -> int:
-    data = _load(args)
-    checks: list[dict] = []
-
-    report = validate(data, require_integral_differences=not args.no_integrality)
-    checks.append(
-        {
-            "name": "validate",
-            "passed": report.is_valid,
-            "detail": "; ".join(report.messages()),
-        }
-    )
-
-    if report.is_valid:
-        for name, runner in (
-            ("c1-coefficient", lambda: f"C = {c1_coefficient(data)}"),
-            ("condition-d", lambda: f"d = {condition_d_offset(data)}"),
-        ):
-            try:
-                checks.append({"name": name, "passed": True, "detail": runner()})
-            except HamfixError as exc:
-                checks.append({"name": name, "passed": False, "detail": str(exc)})
-        battery = vanishing_battery(data)
-        detail = f"volume = {battery.volume}"
-        if battery.failures:
-            pairs = ", ".join(f"({f.a},{f.b})" for f in battery.failures)
-            detail = f"non-vanishing pairs {pairs}; " + detail
-        checks.append({"name": "vanishing-battery", "passed": battery.passed, "detail": detail})
-    else:
-        for name in ("c1-coefficient", "condition-d", "vanishing-battery"):
-            checks.append({"name": name, "passed": False, "detail": "not run: validation failed"})
-
-    passed = all(c["passed"] for c in checks)
-    lines = [
-        f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
-        + (f": {c['detail']}" if c["detail"] else "")
-        for c in checks
-    ]
+    data, checks = _load(args)
+    passed = all(c.passed for c in checks)
+    lines = [_check_line(c) for c in checks]
     lines.append("all checks passed" if passed else "some checks failed")
-    payload = {"n": data.n, "passed": passed, "checks": checks}
+    payload = {"n": data.n, "passed": passed, "checks": [vars(c) for c in checks]}
     return _report(args, payload, lines, EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
 def _cmd_ring(args) -> int:
-    data = _load(args)
-    if _refuse_inconsistent(args, data):
+    data, checks = _load(args)
+    if _refused(checks):
         return EXIT_CHECK_FAILED
     rc = ring_coefficients(data)
     kind = classify_ring(rc).kind
@@ -226,8 +189,8 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_chern(args) -> int:
-    data = _load(args)
-    if _refuse_inconsistent(args, data):
+    data, checks = _load(args)
+    if _refused(checks):
         return EXIT_CHECK_FAILED
     chern = chern_coefficients(data)
     polynomial = _chern_polynomial(chern.gamma)
@@ -276,14 +239,9 @@ def _cmd_verify(args) -> int:
         "n": spec.n,
         "passed": report.passed,
         "count": report.system_count,
-        "implications": [
-            {"name": line.name, "passed": line.passed, "detail": line.detail}
-            for line in report.lines
-        ],
+        "implications": [vars(line) for line in report.lines],
     }
-    lines = [
-        f"{'PASS' if line.passed else 'FAIL'}  {line.name}: {line.detail}" for line in report.lines
-    ]
+    lines = [_check_line(line) for line in report.lines]
     lines.append("equivalences verified" if report.passed else "verification failed")
     return _report(args, payload, lines, EXIT_OK if report.passed else EXIT_CHECK_FAILED)
 

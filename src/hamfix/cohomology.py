@@ -112,9 +112,6 @@ class ChernData:
     def n(self) -> int:
         return len(self.gamma)
 
-    def sigma_at(self, i: int, k: int) -> int:
-        return self.sigma[i][k]
-
 
 def _gammas(data: FixedPointData) -> list[int]:
     return [gamma(data, i) for i in range(data.n + 1)]

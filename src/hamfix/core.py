@@ -22,10 +22,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import IndexOutOfRange, StructureError
 
-#: Exact rational scalar.  Fraction keeps denominators positive and
-#: fractions reduced, which is exactly the canonical form required here.
-Rat = Fraction
-
 RatLike = Union[int, Fraction, str]
 
 

@@ -17,10 +17,16 @@ joining P_0 and P_2 at all), so results for those rings are a filter,
 never a uniqueness claim.
 
 Every assembled candidate must meet the mirrored positive-weight
-product targets and survive validation, a constant condition-D offset
-(which requires a constant positive c1 coefficient) and the full
-vanishing battery.  The search is single-threaded and bounded by the
-``budget=`` argument (``--budget`` on the command line).
+product targets and survive a constant condition-D offset (which
+requires a constant positive c1 coefficient) and the full vanishing
+battery.  It passes ``validate`` by construction: the moment values are
+checked to be increasing integers up front, every weight is a divisor
+(so nonzero), and P_i gets exactly its i negative weights.  The search
+is single-threaded and bounded by the ``budget=`` argument
+(``--budget`` on the command line).
+
+``consistency_checks`` is the one verdict on whether data is genuine
+fixed point data; the CLI and ``infer_moment_values`` use it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Iterable, Sequence
 from .cohomology import (
     RingKind,
     RingSpec,
+    _affine_fit,
     c1_coefficient,
     chern_coefficients,
     classify_ring,
@@ -157,14 +164,44 @@ def _assemble(
     return FixedPointData.from_weights([rat(v) for v in phis], weights)
 
 
-def _passes_all_checks(data: FixedPointData) -> bool:
-    if not validate(data).is_valid:
-        return False
+@dataclass(frozen=True)
+class Check:
+    """One named verdict and its reason: a consistency check or an
+    implication of ``verify_equivalence``."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def consistency_checks(
+    data: FixedPointData, *, require_integral_differences: bool = True
+) -> tuple[Check, ...]:
+    """The checks genuine fixed point data passes, in order: validate,
+    the c1 coefficient, the condition-D offset and the vanishing battery.
+
+    When validate fails the other three are not run (their formulas
+    assume valid data) and fail with "not run: validation failed".
+    ``require_integral_differences`` is passed to ``validate``.
+    """
+    report = validate(data, require_integral_differences=require_integral_differences)
+    checks = [Check("validate", report.is_valid, "; ".join(report.messages()))]
+    if not report.is_valid:
+        for name in ("c1-coefficient", "condition-d", "vanishing-battery"):
+            checks.append(Check(name, False, "not run: validation failed"))
+        return tuple(checks)
     try:
-        condition_d_offset(data)
-    except HamfixError:
-        return False
-    return vanishing_battery(data).passed
+        c, d = _affine_fit(data)
+        checks += [Check("c1-coefficient", True, f"C = {c}"), Check("condition-d", True, f"d = {d}")]
+    except HamfixError as exc:
+        checks += [Check(name, False, str(exc)) for name in ("c1-coefficient", "condition-d")]
+    battery = vanishing_battery(data)
+    detail = f"volume = {battery.volume}"
+    if battery.failures:
+        pairs = ", ".join(f"({f.a},{f.b})" for f in battery.failures)
+        detail = f"non-vanishing pairs {pairs}; {detail}"
+    checks.append(Check("vanishing-battery", battery.passed, detail))
+    return tuple(checks)
 
 
 def enumerate_weight_systems(
@@ -176,8 +213,9 @@ def enumerate_weight_systems(
     to the points below, each dividing its moment gap and multiplying to
     the ring's product target; positive weights are the forced mirrors.
     Candidates are then filtered through the positive product targets,
-    validation, condition-D constancy and the vanishing battery.  The
-    result is deduplicated and sorted by flattened weight lists.
+    condition-D constancy and the vanishing battery (``validate`` holds
+    by construction).  The result is deduplicated and sorted by
+    flattened weight lists.
 
     ``budget`` (default 200000) caps both the assignments found at one
     point and the number of candidate systems; exceeding it raises
@@ -209,7 +247,11 @@ def enumerate_weight_systems(
             if positive_product != pos_targets[j]:
                 return None
         data = _assemble(vals, combo, n)
-        return data if _passes_all_checks(data) else None
+        try:
+            condition_d_offset(data)
+        except HamfixError:
+            return None
+        return data if vanishing_battery(data).passed else None
 
     unique: dict[tuple, FixedPointData] = {}
     for combo in itertools.product(*per_point):
@@ -220,16 +262,9 @@ def enumerate_weight_systems(
 
 
 @dataclass(frozen=True)
-class ImplicationLine:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     spec: RingSpec
-    lines: tuple[ImplicationLine, ...]
+    lines: tuple[Check, ...]
     system_count: int
 
     @property
@@ -247,76 +282,56 @@ def verify_equivalence(
     system's measured ring classifies back to the requested ring;
     (4)=>(3): its Chern coefficients match the reference series;
     (4)=>(1): its c1 coefficient is the degree-1 term of that series,
-    n+1 (projective space) or n (quadric).  ``budget`` is passed to
-    ``enumerate_weight_systems``.
+    n+1 (projective space) or n (quadric).  A standard system that cannot
+    be built or measured fails the line with the reason.  ``budget`` is
+    passed to ``enumerate_weight_systems``.
     """
     if spec.kind is RingKind.OTHER:
         raise SpecMismatch("equivalence verification is defined for the model rings only")
     vals = _checked_phis(spec, phis)
-    n = spec.n
-
-    expected: FixedPointData | None
-    try:
-        expected = _EXPECTED_WEIGHTS[spec.kind](vals)
-        expected_note = ""
-    except HamfixError as exc:
-        expected = None
-        expected_note = f"standard weight system not constructible: {exc}"
-
     systems = enumerate_weight_systems(spec, vals, budget=budget)
-    lines = []
-
-    if expected is not None and len(systems) == 1 and systems[0] == expected:
-        lines.append(
-            ImplicationLine(
-                "(2)=>(4)", True, "unique weight system matches the standard model"
-            )
-        )
-    else:
-        detail = expected_note or f"{len(systems)} consistent weight systems found"
-        if expected is not None and len(systems) == 1:
-            detail = "unique weight system differs from the standard model"
-        lines.append(ImplicationLine("(2)=>(4)", False, detail))
-
-    if expected is None:
-        for name in ("(4)=>(2)", "(4)=>(3)", "(4)=>(1)"):
-            lines.append(ImplicationLine(name, False, expected_note))
-        return EquivalenceReport(spec, tuple(lines), len(systems))
-
-    measured = classify_ring(ring_coefficients(expected))
-    lines.append(
-        ImplicationLine(
-            "(4)=>(2)",
-            measured.kind is spec.kind and measured.n == n,
-            f"measured ring classifies as {measured.kind}",
-        )
-    )
-
-    gamma = chern_coefficients(expected).gamma
-    reference = reference_chern(spec.kind, n)
-    lines.append(
-        ImplicationLine(
-            "(4)=>(3)",
-            tuple(gamma) == tuple(Fraction(v) for v in reference),
-            f"Chern coefficients {', '.join(str(g) for g in gamma)}",
-        )
-    )
-
-    c_expected = reference[0]  # c1 is the degree-1 term of the total Chern class
-    c_label = "n+1" if c_expected == n + 1 else "n"
+    reference = reference_chern(spec.kind, spec.n)
     try:
-        c = c1_coefficient(expected)
-        lines.append(
-            ImplicationLine(
-                "(4)=>(1)", c == c_expected, f"C = {c} = {c_label}"
-                if c == c_expected
-                else f"C = {c}, expected {c_expected}",
-            )
-        )
+        standard, unbuilt = _EXPECTED_WEIGHTS[spec.kind](vals), ""
     except HamfixError as exc:
-        lines.append(ImplicationLine("(4)=>(1)", False, str(exc)))
+        standard, unbuilt = None, f"standard weight system not constructible: {exc}"
 
-    return EquivalenceReport(spec, tuple(lines), len(systems))
+    def line(name: str, measure) -> Check:
+        # measure(standard) returns (passed, detail)
+        if standard is None:
+            return Check(name, False, unbuilt)
+        try:
+            return Check(name, *measure(standard))
+        except HamfixError as exc:
+            return Check(name, False, str(exc))
+
+    def unique(expected):
+        if len(systems) != 1:
+            return False, f"{len(systems)} consistent weight systems found"
+        same = systems[0] == expected
+        return same, f"unique weight system {'matches' if same else 'differs from'} the standard model"
+
+    def ring(expected):
+        measured = classify_ring(ring_coefficients(expected))
+        return measured == spec, f"measured ring classifies as {measured.kind}"
+
+    def chern(expected):
+        gamma = chern_coefficients(expected).gamma
+        return gamma == reference, f"Chern coefficients {', '.join(str(g) for g in gamma)}"
+
+    def c1(expected):
+        c = c1_coefficient(expected)
+        if c != reference[0]:  # c1 is the degree-1 term of the total Chern class
+            return False, f"C = {c}, expected {reference[0]}"
+        return True, f"C = {c} = {'n+1' if c == spec.n + 1 else 'n'}"
+
+    lines = (
+        line("(2)=>(4)", unique),
+        line("(4)=>(2)", ring),
+        line("(4)=>(3)", chern),
+        line("(4)=>(1)", c1),
+    )
+    return EquivalenceReport(spec, lines, len(systems))
 
 
 def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fraction]:
@@ -329,9 +344,9 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     weights, collapses algebraically to C = (Gamma_0 - Gamma_1) / |w|
     where w is the single negative weight at P_1.
 
-    The multisets at the inferred moment values must then pass
-    ``validate`` and the vanishing battery; otherwise InconsistentGamma
-    names the first violation or the first non-vanishing pair.
+    The multisets at the inferred moment values must then pass every
+    ``consistency_checks`` check; otherwise InconsistentGamma names the
+    first failing check and its detail.
     """
     multisets = [tuple(sorted(ws)) for ws in weight_multisets]
     n = len(multisets) - 1
@@ -363,18 +378,11 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     c = Fraction(gammas[0] - gammas[1], -lam1)
     phis = [Fraction(gammas[0] - g) / c for g in gammas]
     data = FixedPointData.from_weights(phis, ordered)
-    problems = validate(data).messages()
-    if problems:
-        raise InconsistentGamma(f"inferred moment values fail validation: {problems[0]}")
-    # With every pair vanishing the volume is positive (P_0 has no
-    # negative weight), so the failing pairs are all there is to check.
-    battery = vanishing_battery(data)
-    if battery.failures:
-        f = battery.failures[0]
-        raise InconsistentGamma(
-            f"inferred moment values fail the vanishing battery at (a, b) = "
-            f"({f.a}, {f.b}) with value {f.value}"
-        )
+    for check in consistency_checks(data):
+        if not check.passed:
+            raise InconsistentGamma(
+                f"inferred moment values fail {check.name}: {check.detail}"
+            )
     return phis
 
 

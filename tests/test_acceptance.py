@@ -21,6 +21,7 @@ from hamfix import (
     c1_coefficient,
     chern_coefficients,
     classify_ring,
+    consistency_checks,
     cpn_model,
     enumerate_weight_systems,
     gradient_graph,
@@ -262,7 +263,10 @@ def _oracle_instances(draw):
 @given(_oracle_instances())
 def test_criterion_7d_solver_matches_brute_force(instance):
     spec, phis = instance
-    assert enumerate_weight_systems(spec, phis) == _all_divisor_systems(spec, phis)
+    systems = enumerate_weight_systems(spec, phis)
+    assert systems == _all_divisor_systems(spec, phis)
+    for data in systems:
+        assert [c.name for c in consistency_checks(data) if not c.passed] == []
 
 
 def test_criterion_7_summary():

@@ -139,6 +139,17 @@ def test_ring_and_chern_refuse_data_failing_validate(tmp_path, capsys):
         assert "negative-weight count at P_1 is 0, expected 1" in captured.err
 
 
+def test_ring_and_chern_refuse_data_failing_only_the_battery(tmp_path, capsys):
+    # Valid, with C = 5 and d = 2, but the localization sums do not vanish
+    data = FixedPointData.from_weights([0, 1, 2], [(1, 1), (-4, 1), (-4, -4)])
+    path = write_model(tmp_path, data)
+    for command in (["ring", path], ["chern", path], ["ring", path, "--json"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-vanishing pairs (0,0), (0,1), (1,0); volume = 0\n"
+
+
 def test_ring_and_chern_refuse_non_constant_c1(tmp_path, capsys):
     # CP^2 weights at phi = 0, 1, 3 pass validate but have no constant c1
     weights = [p.weights for p in cpn_model((0, 1, 2)).points]

@@ -34,6 +34,10 @@ DOCUMENTS = {
     "no_negative.json": _document([0, 1, 2], [(1, 2), (1, 3), (-2, -1)]),
     # CP^2 weights at phi = 0, 1, 3: valid, but Gamma is not affine in phi
     "non_affine.json": _document([0, 1, 3], [(1, 2), (-1, 1), (-2, -1)]),
+    # valid, C = 5 and d = 2, but fails the vanishing battery
+    "battery_fails.json": _document([0, 1, 2], [(1, 1), (-4, 1), (-4, -4)]),
+    # two validate violations: P_1 and P_2 each lack a negative weight
+    "two_violations.json": _document([0, 1, 3], [(1, 2), (1, 3), (-2, 1)]),
 }
 COPIES = {"cp2.json": "cp2.golden.json", "q3.json": "q3_meta.golden.json"}
 
@@ -80,6 +84,13 @@ CASES = (
         ["solve", "--ring", "other", "--r", "1,x", "--phi", "0,1"],
         ["verify", "--ring", "cpn", "--phi", "0,2,1"],
         ["verify", "--ring", "quadric", "--phi", "0,1,2"],
+        ["ring", "battery_fails.json"],
+        ["chern", "battery_fails.json"],
+        ["ring", "battery_fails.json", "--json"],
+        ["ring", "two_violations.json"],
+        # the standard system fails the Chern cross-check: FAIL lines, exit 1
+        ["verify", "--ring", "quadric", "--phi=-4,-3,1,4"],
+        ["verify", "--ring", "quadric", "--phi=-4,-3,1,4", "--json"],
     ]
 )
 

@@ -200,11 +200,11 @@ def test_sigma_table_invariants():
     data = quadric_model((3, 1))
     chern = chern_coefficients(data)
     for i, p in enumerate(data.points):
-        assert chern.sigma_at(i, 0) == 1
+        assert chern.sigma[i][0] == 1
         prod = 1
         for w in p.weights:
             prod *= w
-        assert chern.sigma_at(i, data.n) == prod
+        assert chern.sigma[i][data.n] == prod
 
 
 def test_reference_chern_matches_oracles():

@@ -230,6 +230,15 @@ def test_verify_quadric_odd_gap_fails_2_implies_4():
     assert report.system_count == 0
 
 
+def test_verify_reports_an_unmeasurable_standard_system():
+    # The standard quadric weights at these non-antipodal moment values
+    # fail the Chern cross-check; that is a FAIL line, not an error.
+    report = verify_equivalence(RingSpec(RingKind.QUADRIC, 3), [-4, -3, 1, 4])
+    assert not report.passed
+    assert [line.passed for line in report.lines] == [False] * 4
+    assert report.lines[2].detail == "c_1 expressions disagree: 10/11 vs 2"
+
+
 def test_verify_rejects_other_rings():
     r = (Fraction(1),) * 3
     with pytest.raises(SpecMismatch):
@@ -270,13 +279,17 @@ def test_infer_rejects_bad_counts():
 
 
 def test_infer_rejects_inconsistent_multisets():
-    # phi = 0, 1, 8 passes validate, but the battery's (0, 0) sum is 1/3
-    with pytest.raises(InconsistentGamma, match=r"battery at \(a, b\) = \(0, 0\) with value 1/3"):
+    # phi = 0, 1, 8 passes validate, but the battery's (0, 0) and (0, 1) sums
+    # do not vanish
+    with pytest.raises(
+        InconsistentGamma,
+        match=r"fail vanishing-battery: non-vanishing pairs \(0,0\), \(0,1\); volume = 31/3$",
+    ):
         infer_moment_values([(1, 2), (-1, 3), (-2, -3)])
     # phi = 0, 2, 26/5 has a non-integral moment gap
-    with pytest.raises(InconsistentGamma, match="fail validation: moment difference"):
+    with pytest.raises(InconsistentGamma, match="fail validate: moment difference"):
         infer_moment_values([(2, 4), (-2, 3), (-3, -4)])
-    with pytest.raises(InconsistentGamma, match="fail validation: zero weight at point 1"):
+    with pytest.raises(InconsistentGamma, match="fail validate: zero weight at point 1$"):
         infer_moment_values([(1, 1), (-1, 0), (-3, -1)])
 
 
