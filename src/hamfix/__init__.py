@@ -26,10 +26,6 @@ from .core import (
     FixedPointData,
     ValidationReport,
     Violation,
-    gamma,
-    lambda_all,
-    lambda_minus,
-    lambda_plus,
     rat,
     validate,
 )
@@ -42,23 +38,14 @@ from .documents import (
     serialize_document,
 )
 from .errors import (
-    CrossCheckFailed,
-    DegenerateGamma,
-    DuplicateAbsB,
-    DuplicateB,
-    EvenN,
     HamfixError,
     InconsistentGamma,
-    IndexOutOfRange,
     NonConstantC1,
-    NonIncreasing,
     NonPositiveC1,
-    OddHalfWeight,
     ParseError,
     SearchBudgetExceeded,
     SpecMismatch,
     StructureError,
-    ZeroB,
 )
 from .localization import (
     BatteryFailure,

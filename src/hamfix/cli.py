@@ -97,10 +97,10 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 def _ring_spec(args) -> tuple[RingSpec, list[int]]:
     phis = _parse_int_list(args.phi, "--phi")
+    if args.ring == "other" and not args.r:
+        raise ParseError("--r", "an r-sequence is required with --ring other")
     r = None
-    if args.ring == "other":
-        if not args.r:
-            raise ParseError("--r", "an r-sequence is required with --ring other")
+    if args.r is not None:  # a model ring refuses it in RingSpec
         try:
             r = tuple(Fraction(part.strip()) for part in args.r.split(","))
         except (ValueError, ZeroDivisionError):

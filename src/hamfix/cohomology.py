@@ -27,16 +27,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
-from .core import FixedPointData, gamma, lambda_all, lambda_minus, lambda_plus
-from .errors import (
-    CrossCheckFailed,
-    DegenerateGamma,
-    NonConstantC1,
-    NonPositiveC1,
-    SpecMismatch,
-)
+from .core import FixedPointData
+from .errors import HamfixError, NonConstantC1, NonPositiveC1, SpecMismatch
 
 
 class RingKind(enum.Enum):
@@ -113,10 +107,6 @@ class ChernData:
         return len(self.gamma)
 
 
-def _gammas(data: FixedPointData) -> list[int]:
-    return [gamma(data, i) for i in range(data.n + 1)]
-
-
 def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
     """(C, d) with Gamma_i = C * (-phi_i) + d for all i, and C > 0.
 
@@ -124,7 +114,7 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
     line, so every pair with distinct moment values does too.  Errors
     name the first failing pair in lexicographic order.
     """
-    gs = _gammas(data)
+    gs = [p.gamma for p in data.points]
     phis = data.moment_values
     c = None
     for j in range(1, data.n + 1):
@@ -162,12 +152,14 @@ def condition_d_offset(data: FixedPointData) -> Fraction:
     return _affine_fit(data)[1]
 
 
-def _require_distinct_gammas(gs: list[int]):
+def _distinct_gammas(data: FixedPointData) -> list[int]:
+    gs = [p.gamma for p in data.points]
     seen: dict[int, int] = {}
     for i, g in enumerate(gs):
         if g in seen:
-            raise DegenerateGamma(f"Gamma_{seen[g]} = Gamma_{i} = {g}")
+            raise HamfixError(f"Gamma_{seen[g]} = Gamma_{i} = {g}")
         seen[g] = i
+    return gs
 
 
 def ring_coefficients(data: FixedPointData) -> RingCoefficients:
@@ -177,16 +169,16 @@ def ring_coefficients(data: FixedPointData) -> RingCoefficients:
 
         r_i = Lambda_i^- * (Gamma_1 - Gamma_0)^i
               / [(Lambda_1^-)^i * prod_{j<i} (Gamma_i - Gamma_j)].
+
+    Two points with equal Gamma make a denominator zero (HamfixError).
     """
-    gs = _gammas(data)
-    _require_distinct_gammas(gs)
+    gs = _distinct_gammas(data)
+    pts = data.points
     r = [Fraction(1), Fraction(1)]  # r_0 = r_1 = 1 by normalization
     for i in range(2, data.n + 1):
-        num = Fraction(lambda_minus(data, i)) * Fraction(gs[1] - gs[0]) ** i
-        den = Fraction(lambda_minus(data, 1)) ** i * prod(
-            Fraction(gs[i] - gs[j]) for j in range(i)
-        )
-        r.append(num / den)
+        num = pts[i].lambda_minus * (gs[1] - gs[0]) ** i
+        den = pts[1].lambda_minus**i * prod(gs[i] - gs[j] for j in range(i))
+        r.append(Fraction(num, den))
     return RingCoefficients(tuple(r))
 
 
@@ -219,41 +211,30 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
         * sum_{k<=i} sigma_i(P_k) / prod_{j<=i, j!=k} (Gamma_k - Gamma_j)
 
     (Lambda_k is the product of all weights at P_k.)  The scalar is then
-    converted to the x-basis through gamma_i = scalar * r_i.
+    converted to the x-basis through gamma_i = scalar * r_i.  Each sum
+    is taken in integers over one common denominator: lcm_k Lambda_k for
+    the first, lcm_k prod_{j<=i, j!=k} (Gamma_k - Gamma_j) for the second.
     """
     n = data.n
-    r = ring_coefficients(data).r  # raises DegenerateGamma on equal Gammas
-    gs = _gammas(data)
-    lambdas = [lambda_all(data, k) for k in range(n + 1)]
+    r = ring_coefficients(data).r  # raises on equal Gammas
+    gs = [p.gamma for p in data.points]
+    lambdas = [p.lambda_all for p in data.points]
+    big_l = lcm(*lambdas)
     sigma = _sigma_table(data)
 
     gammas: list[Fraction] = []
     for i in range(1, n + 1):
-        upper = [Fraction(gs[i] - gs[j]) for j in range(i + 1, n + 1)]
-        plus = Fraction(lambda_plus(data, i)) / prod(upper, start=Fraction(1))
-        acc = Fraction(0)
-        for k in range(i + 1):
-            acc += (
-                Fraction(sigma[k][i])
-                * prod((Fraction(gs[k] - gs[j]) for j in range(i + 1, n + 1)), start=Fraction(1))
-                / lambdas[k]
-            )
-        scalar_plus = plus * acc
+        upper = [prod(gs[k] - gs[j] for j in range(i + 1, n + 1)) for k in range(i + 1)]
+        acc = sum(sigma[k][i] * upper[k] * (big_l // lambdas[k]) for k in range(i + 1))
+        scalar_plus = Fraction(data.points[i].lambda_plus * acc, upper[i] * big_l)
 
-        lower = prod((Fraction(gs[i] - gs[j]) for j in range(i)), start=Fraction(1))
-        acc = Fraction(0)
-        for k in range(i + 1):
-            den = prod(
-                (Fraction(gs[k] - gs[j]) for j in range(i + 1) if j != k),
-                start=Fraction(1),
-            )
-            acc += Fraction(sigma[k][i]) / den
-        scalar_minus = lower / lambda_minus(data, i) * acc
+        lower = [prod(gs[k] - gs[j] for j in range(i + 1) if j != k) for k in range(i + 1)]
+        den = lcm(*lower)
+        acc = sum(sigma[k][i] * (den // lower[k]) for k in range(i + 1))
+        scalar_minus = Fraction(lower[i] * acc, data.points[i].lambda_minus * den)
 
         if scalar_plus != scalar_minus:
-            raise CrossCheckFailed(
-                f"c_{i} expressions disagree: {scalar_plus} vs {scalar_minus}"
-            )
+            raise HamfixError(f"c_{i} expressions disagree: {scalar_plus} vs {scalar_minus}")
         gammas.append(scalar_plus * r[i])
 
     return ChernData(sigma, tuple(gammas))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import IndexOutOfRange, StructureError
+from .errors import StructureError
 
 RatLike = Union[int, Fraction, str]
 
@@ -45,6 +45,8 @@ class FixedPoint:
     """One isolated fixed point: position, moment value, weight multiset.
 
     Weights are stored sorted ascending so equal multisets compare equal.
+    Gamma_P and the Lambda_P products are computed on access, so a point
+    with a zero weight still builds and ``validate`` can report it.
     """
 
     index: int
@@ -61,6 +63,28 @@ class FixedPoint:
     @property
     def negative_count(self) -> int:
         return sum(1 for w in self.weights if w < 0)
+
+    @property
+    def gamma(self) -> int:
+        """Gamma_P: the sum of the weights."""
+        return sum(self.weights)
+
+    @property
+    def lambda_all(self) -> int:
+        """Lambda_P: the product of all weights; StructureError if one is zero."""
+        if 0 in self.weights:
+            raise StructureError(f"zero weight at point {self.index}")
+        return prod(self.weights)
+
+    @property
+    def lambda_minus(self) -> int:
+        """Lambda_P^-: the product of the negative weights (1 if there are none)."""
+        return prod(w for w in self.weights if w < 0)
+
+    @property
+    def lambda_plus(self) -> int:
+        """Lambda_P^+: the product of the positive weights (1 if there are none)."""
+        return prod(w for w in self.weights if w > 0)
 
 
 @dataclass(frozen=True)
@@ -122,35 +146,6 @@ class FixedPointData:
     def normalized(self) -> "FixedPointData":
         """Translate so the smallest moment value is 0."""
         return self.translated(-self.points[0].moment_value)
-
-
-def _check_index(data: FixedPointData, i: int) -> FixedPoint:
-    if not 0 <= i <= data.n:
-        raise IndexOutOfRange(f"point index {i} outside 0..{data.n}")
-    return data.points[i]
-
-
-def gamma(data: FixedPointData, i: int) -> int:
-    """Sum of the weights at P_i."""
-    return sum(_check_index(data, i).weights)
-
-
-def lambda_all(data: FixedPointData, i: int) -> int:
-    """Product of all weights at P_i; StructureError if one is zero."""
-    weights = _check_index(data, i).weights
-    if 0 in weights:
-        raise StructureError(f"zero weight at point {i}")
-    return prod(weights)
-
-
-def lambda_minus(data: FixedPointData, i: int) -> int:
-    """Product of the negative weights at P_i (1 if there are none)."""
-    return prod(w for w in _check_index(data, i).weights if w < 0)
-
-
-def lambda_plus(data: FixedPointData, i: int) -> int:
-    """Product of the positive weights at P_i (1 if there are none)."""
-    return prod(w for w in _check_index(data, i).weights if w > 0)
 
 
 @dataclass(frozen=True)

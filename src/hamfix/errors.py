@@ -9,10 +9,6 @@ class StructureError(HamfixError):
     """Fixed point data is not structurally well formed (wrong counts)."""
 
 
-class IndexOutOfRange(HamfixError, IndexError):
-    """A point index outside 0..n was requested."""
-
-
 class NonConstantC1(HamfixError):
     """The pairwise weight-sum quotients disagree; no constant C exists."""
 
@@ -21,40 +17,9 @@ class NonPositiveC1(HamfixError):
     """The common quotient C exists but is not positive."""
 
 
-class DegenerateGamma(HamfixError):
-    """Two points share the same weight sum; generator formulas divide by zero."""
-
-
-class CrossCheckFailed(HamfixError):
-    """The two independent Chern coefficient expressions disagree."""
-
-
-class DuplicateB(HamfixError):
-    """Projective-space model parameters must be pairwise distinct."""
-
-
-class EvenN(HamfixError):
-    """Quadric constructions require odd n."""
-
-
-class ZeroB(HamfixError):
-    """Quadric model parameters must be nonzero."""
-
-
-class DuplicateAbsB(HamfixError):
-    """Quadric model parameters must have pairwise distinct absolute values."""
-
-
-class OddHalfWeight(HamfixError):
-    """An antipodal moment gap is odd, so its half-weight is not an integer."""
-
-
 class SpecMismatch(HamfixError):
-    """Ring description and moment values do not fit together."""
-
-
-class NonIncreasing(SpecMismatch):
-    """Moment values must be strictly increasing integers."""
+    """Ring description, moment values or model exponents do not fit
+    together (for example duplicate exponents, or an odd antipodal gap)."""
 
 
 class SearchBudgetExceeded(HamfixError):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import FixedPointData, RatLike, gamma, lambda_all, rat
+from .core import FixedPointData, RatLike, rat
 
 
 def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
@@ -34,7 +34,7 @@ def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
     """
     total = Fraction(0)
     for p, a in zip(data.points, coefficients, strict=True):
-        total += rat(a) / lambda_all(data, p.index)
+        total += rat(a) / p.lambda_all
     return total
 
 
@@ -70,12 +70,12 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     (sum_P m_P Gamma_P^a u_P^b) / (L q^b), so it is exact in integers.
     """
     n = data.n
-    lambdas = [lambda_all(data, p.index) for p in data.points]
+    lambdas = [p.lambda_all for p in data.points]
     big_l = lcm(*lambdas)
     q = lcm(*(p.moment_value.denominator for p in data.points))
     m = [big_l // lam for lam in lambdas]
     u = [-p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
-    gs = [gamma(data, p.index) for p in data.points]
+    gs = [p.gamma for p in data.points]
 
     failures = []
     c1_power = m  # m_P * Gamma_P^a

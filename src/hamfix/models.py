@@ -21,28 +21,20 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import FixedPoint, FixedPointData, rat
-from .errors import (
-    DuplicateAbsB,
-    DuplicateB,
-    EvenN,
-    NonIncreasing,
-    OddHalfWeight,
-    StructureError,
-    ZeroB,
-)
+from .errors import SpecMismatch, StructureError
 
 
 def _check_increasing_ints(phis: Sequence[int]) -> list[int]:
     out = []
     for v in phis:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise NonIncreasing(f"moment values must be integers, got {v!r}")
+            raise SpecMismatch(f"moment values must be integers, got {v!r}")
         out.append(v)
     for a, b in zip(out, out[1:]):
         if b <= a:
-            raise NonIncreasing(f"moment values must be strictly increasing: {a} then {b}")
+            raise SpecMismatch(f"moment values must be strictly increasing: {a} then {b}")
     if len(out) < 2:
-        raise NonIncreasing("need at least two moment values")
+        raise SpecMismatch("need at least two moment values")
     return out
 
 
@@ -54,7 +46,7 @@ def cpn_model(b: Sequence[int]) -> FixedPointData:
     """
     bs = sorted(b)
     if len(set(bs)) != len(bs):
-        raise DuplicateB(f"exponents must be pairwise distinct, got {list(b)}")
+        raise SpecMismatch(f"exponents must be pairwise distinct, got {list(b)}")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
     return expected_weights_cpn(bs)
@@ -69,10 +61,10 @@ def quadric_model(b: Sequence[int]) -> FixedPointData:
     -b_0 < ... < -b_last < b_last < ... < b_0 in increasing order.
     """
     if any(v == 0 for v in b):
-        raise ZeroB("exponents must be nonzero")
+        raise SpecMismatch("exponents must be nonzero")
     bs = sorted((abs(v) for v in b), reverse=True)
     if len(set(bs)) != len(bs):
-        raise DuplicateAbsB(f"exponents must have distinct absolute values, got {list(b)}")
+        raise SpecMismatch(f"exponents must have distinct absolute values, got {list(b)}")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
     return expected_weights_quadric([-v for v in bs] + bs[::-1])
@@ -96,12 +88,12 @@ def expected_weights_quadric(phis: Sequence[int]) -> FixedPointData:
     vals = _check_increasing_ints(phis)
     n = len(vals) - 1
     if n % 2 == 0:
-        raise EvenN(f"quadric weights require odd n, got {n}")
+        raise SpecMismatch(f"quadric weights require odd n, got {n}")
     if n < 3:
         raise StructureError(f"quadric weights require n >= 3, got {n}")
     for i in range(n + 1):
         if (vals[n - i] - vals[i]) % 2 != 0:
-            raise OddHalfWeight(
+            raise SpecMismatch(
                 f"moment gap phi(P_{n - i}) - phi(P_{i}) = {vals[n - i] - vals[i]} "
                 "is odd; its half-weight is not an integer"
             )

@@ -32,9 +32,10 @@ fixed point data; the CLI and ``infer_moment_values`` use it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .cohomology import (
@@ -54,6 +55,7 @@ from .errors import (
     InconsistentGamma,
     SearchBudgetExceeded,
     SpecMismatch,
+    StructureError,
 )
 from .localization import vanishing_battery
 from .models import _check_increasing_ints, expected_weights_cpn, expected_weights_quadric
@@ -78,10 +80,7 @@ def lambda_minus_targets(spec: RingSpec, phis: Sequence[int]) -> list[Fraction]:
     r_i * prod_{j<i} (phi_j - phi_i)."""
     vals = _checked_phis(spec, phis)
     r = spec.r_sequence()
-    return [
-        r[i] * prod((Fraction(vals[j] - vals[i]) for j in range(i)), start=Fraction(1))
-        for i in range(spec.n + 1)
-    ]
+    return [r[i] * prod(vals[j] - vals[i] for j in range(i)) for i in range(spec.n + 1)]
 
 
 def positive_targets(spec: RingSpec, phis: Sequence[int]) -> list[Fraction]:
@@ -93,11 +92,7 @@ def positive_targets(spec: RingSpec, phis: Sequence[int]) -> list[Fraction]:
     vals = _checked_phis(spec, phis)
     r = spec.r_sequence()
     n = spec.n
-    return [
-        r[n - i]
-        * prod((Fraction(vals[j] - vals[i]) for j in range(i + 1, n + 1)), start=Fraction(1))
-        for i in range(n + 1)
-    ]
+    return [r[n - i] * prod(vals[j] - vals[i] for j in range(i + 1, n + 1)) for i in range(n + 1)]
 
 
 def _divisors(m: int) -> list[int]:
@@ -417,10 +412,6 @@ class GradientSphereGraph:
         return [e for e in self.edges if e.lower == lower and e.upper == upper]
 
 
-def _divides(gap: Fraction, w: int) -> bool:
-    return (Fraction(gap) / w).denominator == 1
-
-
 def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
     """Pair weights into gradient-sphere edges by a deterministic greedy.
 
@@ -429,48 +420,47 @@ def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
     first, then smallest point distance.  Leftover weights become
     unpaired edges when a single feasible pole remains, and are flagged
     ambiguous otherwise.  ``missing_pairs`` lists point pairs with no
-    edge at all.
+    edge at all.  A zero weight raises StructureError.
     """
     n = data.n
-    phis = data.moment_values
-    neg_avail: dict[tuple[int, int], int] = {}
-    pos_avail: dict[tuple[int, int], int] = {}
+    # w divides phi_i - phi_j exactly when q*w divides u_i - u_j, with
+    # u = q*phi integral (q the lcm of the denominators).
+    q = lcm(*(p.moment_value.denominator for p in data.points))
+    u = [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
+    # For each |w|, the points still carrying -w (neg) and +w (pos).
+    neg: dict[int, Counter] = {}
+    pos: dict[int, Counter] = {}
     for p in data.points:
         for w in p.weights:
-            table = neg_avail if w < 0 else pos_avail
-            key = (p.index, abs(w))
-            table[key] = table.get(key, 0) + 1
+            if w == 0:
+                raise StructureError(f"zero weight at point {p.index}")
+            (neg if w < 0 else pos).setdefault(abs(w), Counter())[p.index] += 1
 
     edges: list[SphereEdge] = []
-    for w in sorted({w for _, w in list(neg_avail) + list(pos_avail)}, reverse=True):
-        candidates = [
+    for w in sorted(neg.keys() & pos.keys(), reverse=True):
+        uppers, lowers = neg[w], pos[w]
+        candidates = sorted(
             (i - j, j, i)
-            for (i, wi) in neg_avail
-            if wi == w
-            for (j, wj) in pos_avail
-            if wj == w and j < i and _divides(phis[i] - phis[j], w)
-        ]
-        for _, j, i in sorted(candidates):
-            while neg_avail.get((i, w), 0) > 0 and pos_avail.get((j, w), 0) > 0:
-                neg_avail[(i, w)] -= 1
-                pos_avail[(j, w)] -= 1
-                edges.append(SphereEdge(j, i, w, True))
+            for i in uppers
+            for j in lowers
+            if j < i and (u[i] - u[j]) % (q * w) == 0
+        )
+        for _, j, i in candidates:
+            count = min(uppers[i], lowers[j])
+            uppers[i] -= count
+            lowers[j] -= count
+            edges += [SphereEdge(j, i, w, True)] * count
 
     ambiguous: list[AmbiguousWeight] = []
-    for (i, w), count in sorted(neg_avail.items()):
-        feasible = tuple(j for j in range(i) if _divides(phis[i] - phis[j], w))
-        for _ in range(count):
+    for sign, table in ((-1, neg), (1, pos)):
+        leftovers = sorted((k, w, c) for w, at in table.items() for k, c in at.items() if c)
+        for k, w, count in leftovers:
+            poles = range(k) if sign < 0 else range(k + 1, n + 1)
+            feasible = tuple(m for m in poles if (u[k] - u[m]) % (q * w) == 0)
             if len(feasible) == 1:
-                edges.append(SphereEdge(feasible[0], i, w, False))
+                edges += [SphereEdge(*sorted((k, feasible[0])), w, False)] * count
             else:
-                ambiguous.append(AmbiguousWeight(i, -w, feasible))
-    for (j, w), count in sorted(pos_avail.items()):
-        feasible = tuple(i for i in range(j + 1, n + 1) if _divides(phis[i] - phis[j], w))
-        for _ in range(count):
-            if len(feasible) == 1:
-                edges.append(SphereEdge(j, feasible[0], w, False))
-            else:
-                ambiguous.append(AmbiguousWeight(j, w, feasible))
+                ambiguous += [AmbiguousWeight(k, sign * w, feasible)] * count
 
     edges.sort(key=lambda e: (e.lower, e.upper, e.weight, not e.paired))
     covered = {(e.lower, e.upper) for e in edges}

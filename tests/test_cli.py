@@ -272,6 +272,16 @@ def test_solve_other_requires_r(capsys):
     assert main(["solve", "--ring", "other", "--phi", "0,1,2"]) == 2
 
 
+def test_model_ring_refuses_r(capsys):
+    # --r is read whenever it is given, and a model ring takes none
+    for argv, kind in (
+        (["solve", "--ring", "cpn", "--phi", "0,1,2"], "ProjectiveSpace"),
+        (["verify", "--ring", "quadric", "--phi=-2,-1,1,2"], "Quadric"),
+    ):
+        assert main(argv + ["--r", "1,1,1,1"]) == 2
+        assert capsys.readouterr().err == f"error: {kind} ring takes no explicit r-sequence\n"
+
+
 def test_solve_budget_exit_3(capsys):
     assert main(["solve", "--ring", "cpn", "--phi", "0,1,2", "--budget", "0"]) == 3
 

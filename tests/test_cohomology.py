@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
-    DegenerateGamma,
     FixedPointData,
     HamfixError,
     NonConstantC1,
@@ -18,7 +17,6 @@ from hamfix import (
     classify_ring,
     condition_d_offset,
     cpn_model,
-    gamma,
     quadric_model,
     reference_chern,
     ring_coefficients,
@@ -122,7 +120,7 @@ def _fit_data(draw):
 def test_affine_fit_matches_its_definition(data):
     # C is the common quotient (Gamma_i - Gamma_j) / (phi_j - phi_i) over
     # ALL pairs, and must be positive; d = Gamma_i + C*phi_i for every i.
-    gs = [gamma(data, i) for i in range(data.n + 1)]
+    gs = [p.gamma for p in data.points]
     phis = data.moment_values
     pairs = list(combinations(range(data.n + 1), 2))
     quotients = {
@@ -173,7 +171,7 @@ def test_ring_six_dimensional_exceptional_case():
 
 def test_ring_degenerate_gamma():
     data = FixedPointData.from_weights([0, 1], [(1,), (1,)])
-    with pytest.raises(DegenerateGamma):
+    with pytest.raises(HamfixError, match=r"^Gamma_0 = Gamma_1 = 1$"):
         ring_coefficients(data)
 
 

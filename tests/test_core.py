@@ -6,13 +6,8 @@ from hypothesis import given
 from hamfix import (
     FixedPoint,
     FixedPointData,
-    IndexOutOfRange,
     StructureError,
     cpn_model,
-    gamma,
-    lambda_all,
-    lambda_minus,
-    lambda_plus,
     quadric_model,
     rat,
     validate,
@@ -90,20 +85,20 @@ def test_validate_flags_zero_weight_and_fractional_gap():
 
 def test_gamma_and_lambda_examples():
     data = cpn_model((0, 1, 2))
-    assert gamma(data, 0) == 3
-    assert lambda_minus(data, 0) == 1  # empty product
-    assert lambda_plus(data, 2) == 1
-    assert lambda_all(data, 1) == -1
+    assert data.points[0].gamma == 3
+    assert data.points[0].lambda_minus == 1  # empty product
+    assert data.points[2].lambda_plus == 1
+    assert data.points[1].lambda_all == -1
     q = quadric_model((2, 1))
-    assert lambda_minus(q, 2) == 3
+    assert q.points[2].lambda_minus == 3
 
 
-def test_index_out_of_range():
-    data = cpn_model((0, 1))
-    with pytest.raises(IndexOutOfRange):
-        gamma(data, 2)
-    with pytest.raises(IndexOutOfRange):
-        lambda_minus(data, -1)
+def test_lambda_all_refuses_a_zero_weight_that_construction_accepts():
+    data = FixedPointData.from_weights([0, 1], [[0], [-1]])
+    assert [v.rule for v in validate(data).violations] == ["nonzero-weights"]
+    assert data.points[0].gamma == 0
+    with pytest.raises(StructureError, match=r"^zero weight at point 0$"):
+        data.points[0].lambda_all
 
 
 def test_translated_shifts_only_moments():

@@ -13,7 +13,6 @@ from hamfix import (
     abbv_sum,
     chern_coefficients,
     cpn_model,
-    gamma,
     quadric_model,
     vanishing_battery,
 )
@@ -28,7 +27,7 @@ def omega_power(data, b):
 
 def c1_omega_monomial(data, a, b):
     """Restrictions Gamma_P^a * (-phi_P)^b of (equivariant c_1)^a * omega^b."""
-    return [Fraction(gamma(data, p.index)) ** a * (-p.moment_value) ** b for p in data.points]
+    return [Fraction(p.gamma) ** a * (-p.moment_value) ** b for p in data.points]
 
 
 def reference_battery(data):

@@ -3,14 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamfix import (
-    DuplicateAbsB,
-    DuplicateB,
-    EvenN,
     FixedPointData,
-    NonIncreasing,
-    OddHalfWeight,
+    SpecMismatch,
     StructureError,
-    ZeroB,
     cpn_model,
     expected_weights_cpn,
     expected_weights_quadric,
@@ -37,7 +32,7 @@ def test_cpn_model_sorts_b():
 
 
 def test_cpn_model_duplicate_b():
-    with pytest.raises(DuplicateB):
+    with pytest.raises(SpecMismatch, match="exponents must be pairwise distinct"):
         cpn_model((0, 0, 1))
 
 
@@ -57,13 +52,13 @@ def test_quadric_model_absorbs_signs_and_order():
 
 
 def test_quadric_model_errors():
-    with pytest.raises(ZeroB):
+    with pytest.raises(SpecMismatch, match="exponents must be nonzero"):
         quadric_model((2, 0))
-    with pytest.raises(DuplicateAbsB):
+    with pytest.raises(SpecMismatch, match="exponents must have distinct absolute values"):
         quadric_model((2, -2))
     with pytest.raises(StructureError, match="need at least two exponents"):
         quadric_model((2,))
-    with pytest.raises(EvenN):
+    with pytest.raises(SpecMismatch, match="quadric weights require odd n, got 4"):
         expected_weights_quadric((-2, -1, 1, 2, 3))
 
 
@@ -73,12 +68,12 @@ def test_expected_weights_cpn_gaps():
 
 
 def test_expected_weights_cpn_non_increasing():
-    with pytest.raises(NonIncreasing):
+    with pytest.raises(SpecMismatch, match="moment values must be strictly increasing: 1 then 1"):
         expected_weights_cpn((1, 1, 2))
 
 
 def test_expected_weights_quadric_odd_gap():
-    with pytest.raises(OddHalfWeight):
+    with pytest.raises(SpecMismatch, match=r"moment gap phi\(P_3\) - phi\(P_0\) = 5 is odd; its half-weight"):
         expected_weights_quadric((-2, -1, 1, 3))
 
 

@@ -12,6 +12,7 @@ from hamfix import (
     RingSpec,
     SearchBudgetExceeded,
     SpecMismatch,
+    StructureError,
     c1_coefficient,
     condition_d_offset,
     cpn_model,
@@ -26,6 +27,8 @@ from hamfix import (
     verify_equivalence,
 )
 from hamfix.errors import HamfixError
+
+from conftest import cpn_b_lists, quadric_b_lists
 
 CASE1_WEIGHTS = [(1, 2, 3), (-1, 1, 4), (-1, -4, 1), (-1, -2, -3)]
 CASE2_WEIGHTS = [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)]
@@ -344,3 +347,29 @@ def test_gradient_graph_ambiguous_weight():
     )
     graph = gradient_graph(data)
     assert any(a.point == 0 and a.weight == 1 for a in graph.ambiguous)
+
+
+def test_gradient_graph_zero_weight_is_a_structure_error():
+    data = FixedPointData.from_weights([0, 1, 2], [[1, 0], [-1, 1], [-1, -2]])
+    with pytest.raises(StructureError, match=r"^zero weight at point 0$"):
+        gradient_graph(data)
+
+
+@given(st.one_of(
+    cpn_b_lists(max_n=9, bound=20).map(lambda b: (cpn_model(b), False)),
+    quadric_b_lists(ns=(3, 5, 7, 9), bound=20).map(lambda b: (quadric_model(b), True)),
+))
+def test_gradient_graph_of_models_is_the_standard_sphere_set(model):
+    # One paired sphere per point pair carrying the moment gap, halved
+    # between quadric antipodes P_j and P_{n-j}.
+    data, quadric = model
+    n, phis = data.n, data.moment_values
+    expected = [
+        (j, i, (phis[i] - phis[j]) / (2 if quadric and i == n - j else 1), True)
+        for j in range(n + 1)
+        for i in range(j + 1, n + 1)
+    ]
+    graph = gradient_graph(data)
+    assert [(e.lower, e.upper, e.weight, e.paired) for e in graph.edges] == expected
+    assert graph.ambiguous == ()
+    assert graph.missing_pairs == ()
