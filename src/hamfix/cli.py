@@ -51,7 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     search = argparse.ArgumentParser(add_help=False, parents=[report])
     search.add_argument(
-        "--budget", type=int, default=None, metavar="N", help="candidate budget for the solver"
+        "--budget",
+        type=int,
+        default=None,
+        metavar="N",
+        help="solver cap on the weight assignments found at one point and on "
+        "the number of their combinations (default 200000)",
     )
 
     parser = argparse.ArgumentParser(

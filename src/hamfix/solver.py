@@ -16,14 +16,29 @@ this ansatz is a theorem; for other rings it can genuinely fail (a
 joining P_0 and P_2 at all), so results for those rings are a filter,
 never a uniqueness claim.
 
-Every assembled candidate must meet the mirrored positive-weight
-product targets and survive a constant condition-D offset (which
-requires a constant positive c1 coefficient) and the full vanishing
-battery.  It passes ``validate`` by construction: the moment values are
-checked to be increasing integers up front, every weight is a divisor
-(so nonzero), and P_i gets exactly its i negative weights.  The search
-is single-threaded and bounded by the ``budget=`` argument
-(``--budget`` on the command line).
+The search runs in two stages.  First, at each point, a depth-first
+search over ascending divisors lists the assignments of its negative
+weights; a branch stops as soon as the product still to be placed
+exceeds the product of the remaining |gaps|, the most the remaining
+slots can reach.  Then the assignments are placed depth first from P_n
+down to P_1, keeping a running positive product and weight sum Gamma
+per point, and a placement is abandoned at the first failed test:
+
+* a positive product must divide its point's mirrored target while
+  points above are still being placed, and equal it once they are;
+* Gamma_n and Gamma_{n-1} fix the line Gamma = -C*phi + d, whose C must
+  be positive (condition D needs a constant positive c1 coefficient);
+* every later Gamma_i, and Gamma_0 after P_1, must lie on that line.
+
+Only a placement that passes all three is assembled, and it must still
+survive ``condition_d_offset`` and the full vanishing battery.  It
+passes ``validate`` by construction: the moment values are checked to
+be increasing integers up front, every weight is a divisor (so
+nonzero), and P_i gets exactly its i negative weights.  The search is
+single-threaded and bounded by the ``budget=`` argument (``--budget``
+on the command line), which caps the assignments found at one point
+and the product of the per-point counts; neither count depends on the
+pruning.
 
 ``consistency_checks`` is the one verdict on whether data is genuine
 fixed point data; the CLI and ``infer_moment_values`` use it.
@@ -31,7 +46,6 @@ fixed point data; the CLI and ``infer_moment_values`` use it.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,27 +126,38 @@ def _negative_assignments(
     gaps: Sequence[int], target: Fraction, budget: int
 ) -> list[tuple[int, ...]]:
     """All tuples (w_0..w_{k-1}) of negative integers with w_j dividing
-    gaps[j] (both negative) and product equal to ``target``."""
+    gaps[j] (both negative) and product equal to ``target``, in the
+    order of a depth-first search over ascending divisors.
+
+    A branch stops as soon as the part of the product still to be
+    placed exceeds what the remaining slots can reach (the product of
+    their |gaps|); that cuts only branches with no result, so the list
+    and the budget cap are those of the unbounded search.
+    """
     if target.denominator != 1:
         return []
     t = target.numerator
     k = len(gaps)
     if t == 0 or (t < 0) != (k % 2 == 1):
         return []
-    t_abs = abs(t)
     choices = [_divisors(-g) for g in gaps]
+    # reach[j]: the largest product slots j..k-1 can still make.
+    reach = [1] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        reach[j] = reach[j + 1] * -gaps[j]
 
     results: list[tuple[int, ...]] = []
     stack: list[int] = []
 
     def extend(j: int, remaining: int):
+        if remaining > reach[j]:
+            return
         if j == k:
-            if remaining == 1:
-                results.append(tuple(-d for d in stack))
-                if len(results) > budget:
-                    raise SearchBudgetExceeded(
-                        f"more than {budget} weight assignments at one point"
-                    )
+            results.append(tuple(-d for d in stack))
+            if len(results) > budget:
+                raise SearchBudgetExceeded(
+                    f"more than {budget} weight assignments at one point"
+                )
             return
         for d in choices[j]:
             if remaining % d == 0:
@@ -140,7 +165,7 @@ def _negative_assignments(
                 extend(j + 1, remaining // d)
                 stack.pop()
 
-    extend(0, t_abs)
+    extend(0, abs(t))
     return results
 
 
@@ -207,14 +232,21 @@ def enumerate_weight_systems(
     For each point P_i the i negative weights are assigned bijectively
     to the points below, each dividing its moment gap and multiplying to
     the ring's product target; positive weights are the forced mirrors.
-    Candidates are then filtered through the positive product targets,
-    condition-D constancy and the vanishing battery (``validate`` holds
-    by construction).  The result is deduplicated and sorted by
-    flattened weight lists.
+    Each point's assignments come from a divisor search that stops a
+    branch once the product left exceeds the product of the remaining
+    |gaps|.  They are placed depth first from P_n down to P_1, and a
+    placement is cut as soon as a running positive product fails to
+    divide its target (or, once complete, to equal it), Gamma_n and
+    Gamma_{n-1} give C <= 0, or a later Gamma_i (Gamma_0 after P_1)
+    leaves their line Gamma = -C*phi + d.  A full placement is assembled
+    and must still pass ``condition_d_offset`` and the vanishing battery
+    (``validate`` holds by construction).  The result is deduplicated
+    and sorted by flattened weight lists.
 
     ``budget`` (default 200000) caps both the assignments found at one
-    point and the number of candidate systems; exceeding it raises
-    SearchBudgetExceeded rather than truncating.
+    point and the number of combinations of them (the product of the
+    per-point counts); exceeding either raises SearchBudgetExceeded
+    rather than truncating.  The pruning does not change either count.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
@@ -236,23 +268,49 @@ def enumerate_weight_systems(
             f"{total} candidate systems exceed the budget of {budget}"
         )
 
-    def survives(combo) -> FixedPointData | None:
-        for j in range(n + 1):
-            positive_product = prod(-combo[i - 1][j] for i in range(j + 1, n + 1))
-            if positive_product != pos_targets[j]:
-                return None
-        data = _assemble(vals, combo, n)
-        try:
-            condition_d_offset(data)
-        except HamfixError:
-            return None
-        return data if vanishing_battery(data).passed else None
+    # A positive product is a product of divisors: a positive integer,
+    # and the empty product 1 at P_n.
+    if pos_targets[n] != 1 or any(t.denominator != 1 or t <= 0 for t in pos_targets):
+        return []
+    pos = [t.numerator for t in pos_targets]
+    top_gap = vals[n] - vals[n - 1]
+
+    def on_line(gammas: list[int], k: int) -> bool:
+        # Gamma_n and Gamma_{n-1} fix C = (Gamma_{n-1} - Gamma_n) / top_gap,
+        # which must be positive; Gamma_k must then lie on their line.
+        rise = gammas[n - 1] - gammas[n]
+        if k == n - 1:
+            return rise > 0
+        return (gammas[k] - gammas[n]) * top_gap == rise * (vals[n] - vals[k])
 
     unique: dict[tuple, FixedPointData] = {}
-    for combo in itertools.product(*per_point):
-        data = survives(combo)
-        if data is not None:
-            unique.setdefault(tuple(p.weights for p in data.points), data)
+    placed: list[tuple[int, ...]] = [()] * n
+
+    def place(i: int, products: list[int], gammas: list[int]):
+        # P_n..P_{i+1} are placed; products[j] (j < i) and gammas[j] are
+        # the positive product and weight sum at P_j so far.
+        if i == 0:
+            data = _assemble(vals, placed, n)
+            try:
+                condition_d_offset(data)
+            except HamfixError:
+                return
+            if vanishing_battery(data).passed:
+                unique.setdefault(tuple(p.weights for p in data.points), data)
+            return
+        for assignment in per_point[i - 1]:
+            # P_j (j < i) gains the positive weight -w.
+            below = [p * -w for p, w in zip(products, assignment)]
+            if below[i - 1] != pos[i - 1] or any(pos[j] % below[j] for j in range(i - 1)):
+                continue
+            sums = [g - w for g, w in zip(gammas, assignment)]
+            sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
+            if (i < n and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
+                continue
+            placed[i - 1] = assignment
+            place(i - 1, below, sums)
+
+    place(n, [1] * n, [0] * (n + 1))
     return [unique[k] for k in sorted(unique)]
 
 

@@ -148,7 +148,7 @@ def test_criterion_5_solver_uniqueness_quadric(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert out.count("PASS") == 4
-    assert elapsed5 < 300.0, f"quadric n=5 took {elapsed5:.3f}s"
+    assert elapsed5 < 10.0, f"quadric n=5 took {elapsed5:.3f}s"
     print(f"ACCEPTANCE 5: PASS (quadric verify unique, n=3 {elapsed3:.3f}s, n=5 {elapsed5:.3f}s)")
 
 

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,24 @@ def test_verify_cpn_exit_0(capsys):
 def test_verify_quadric_c1_line(capsys):
     assert main(["verify", "--ring", "quadric", "--phi=-2,-1,1,2"]) == 0
     assert "C = 3 = n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ring", "cpn", "--phi", "0,60,120,180,240,300,360"],
+        ["--ring", "quadric", "--phi=-60,-36,-24,-12,12,24,36,60"],
+    ],
+)
+def test_verify_wide_moment_gaps_is_fast(flags, capsys):
+    # The unbounded divisor search took 5-7 s on each of these.
+    start = time.perf_counter()
+    assert main(["verify", *flags]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert out.count("PASS  ") == 4
+    assert "unique weight system matches the standard model" in out
+    assert elapsed < 2.0, f"verify took {elapsed:.3f}s"
 
 
 def test_verify_failure_exit_1(capsys):

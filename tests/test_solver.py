@@ -1,8 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
@@ -27,6 +28,7 @@ from hamfix import (
     verify_equivalence,
 )
 from hamfix.errors import HamfixError
+from hamfix.solver import _divisors, _negative_assignments
 
 from conftest import cpn_b_lists, quadric_b_lists
 
@@ -204,6 +206,85 @@ def test_enumerate_budget_exceeded():
     spec = RingSpec(RingKind.PROJECTIVE_SPACE, 2)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_weight_systems(spec, [0, 1, 2], budget=0)
+
+
+def test_enumerate_budget_caps_the_combinations_exactly():
+    # Per-point assignment counts 1, 2, 3: the cap on combinations is 6,
+    # whatever the pruned search then visits.
+    spec = RingSpec(RingKind.QUADRIC, 3)
+    phis = [-3, -1, 1, 3]
+    targets = lambda_minus_targets(spec, phis)
+    counts = [
+        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], targets[i], 100))
+        for i in range(1, 4)
+    ]
+    assert counts == [1, 2, 3]
+    with pytest.raises(SearchBudgetExceeded, match=r"^6 candidate systems exceed the budget of 5$"):
+        enumerate_weight_systems(spec, phis, budget=5)
+    assert enumerate_weight_systems(spec, phis, budget=6) == [quadric_model((3, 1))]
+
+
+# --- the bounded divisor search ----------------------------------------------
+
+
+def _unbounded_negative_assignments(gaps, target, budget):
+    # The search without the suffix bound: every divisor branch is
+    # followed to the last slot.
+    if target.denominator != 1:
+        return []
+    t = target.numerator
+    k = len(gaps)
+    if t == 0 or (t < 0) != (k % 2 == 1):
+        return []
+    choices = [_divisors(-g) for g in gaps]
+    results = []
+    stack = []
+
+    def extend(j, remaining):
+        if j == k:
+            if remaining == 1:
+                results.append(tuple(-d for d in stack))
+                if len(results) > budget:
+                    raise SearchBudgetExceeded(
+                        f"more than {budget} weight assignments at one point"
+                    )
+            return
+        for d in choices[j]:
+            if remaining % d == 0:
+                stack.append(d)
+                extend(j + 1, remaining // d)
+                stack.pop()
+
+    extend(0, abs(t))
+    return results
+
+
+def _outcome(search, gaps, target, budget):
+    try:
+        return search(gaps, target, budget)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def _assignment_problems(draw):
+    gaps = draw(st.lists(st.integers(-24, -1), max_size=5))
+    # Half the targets are products of divisors (so results exist), the
+    # rest arbitrary, including zero and fractions.
+    if draw(st.booleans()):
+        target = Fraction((-1) ** len(gaps) * math.prod(draw(st.sampled_from(_divisors(-g))) for g in gaps))
+    else:
+        target = Fraction(draw(st.integers(-2000, 2000)), draw(st.sampled_from([1, 1, 1, 2, 3])))
+    return gaps, target, draw(st.integers(0, 12))
+
+
+@settings(max_examples=300)
+@given(_assignment_problems())
+def test_bounded_assignments_match_the_unbounded_search(problem):
+    gaps, target, budget = problem
+    assert _outcome(_negative_assignments, gaps, target, budget) == _outcome(
+        _unbounded_negative_assignments, gaps, target, budget
+    )
 
 
 # --- verify ------------------------------------------------------------------
