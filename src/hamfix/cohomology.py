@@ -113,27 +113,35 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
     If every pair (0, j) gives the quotient C, the points lie on one
     line, so every pair with distinct moment values does too.  Errors
     name the first failing pair in lexicographic order.
+
+    The pairs are compared in integers, on u = q*phi with q the lcm of
+    the denominators: pair (0, j) gives C = q*(Gamma_0 - Gamma_j) /
+    (u_j - u_0), so it agrees with pair (0, 1) exactly when the two
+    cross products are equal.  Fractions are built only for the result
+    and for error messages.
     """
     gs = [p.gamma for p in data.points]
     phis = data.moment_values
-    c = None
+    q = lcm(*(phi.denominator for phi in phis))
+    u = [phi.numerator * (q // phi.denominator) for phi in phis]
+    g0, u0 = gs[0], u[0]
+    rise, run = g0 - gs[1], u[1] - u0  # C = q * rise / run
     for j in range(1, data.n + 1):
-        if phis[j] == phis[0]:
+        if u[j] == u0:
             raise NonConstantC1(f"equal moment values at P_0 and P_{j}")
-        q = Fraction(gs[0] - gs[j]) / (phis[j] - phis[0])
-        if c is None:
-            c = q
-        elif q != c:
-            raise NonConstantC1(f"pair (0,1) gives {c} but pair (0,{j}) gives {q}")
-    points_at: dict[Fraction, list[int]] = {}
-    for i, phi in enumerate(phis):
-        points_at.setdefault(phi, []).append(i)
-    for same in points_at.values():
-        if len(same) > 1:
-            raise NonConstantC1(f"equal moment values at P_{same[0]} and P_{same[1]}")
-    if c <= 0:
+        if (g0 - gs[j]) * run != rise * (u[j] - u0):
+            c, cj = Fraction(q * rise, run), Fraction(q * (g0 - gs[j]), u[j] - u0)
+            raise NonConstantC1(f"pair (0,1) gives {c} but pair (0,{j}) gives {cj}")
+    if len(set(u)) <= data.n:
+        points_at: dict[int, list[int]] = {}
+        for i, ui in enumerate(u):
+            points_at.setdefault(ui, []).append(i)
+        same = next(s for s in points_at.values() if len(s) > 1)
+        raise NonConstantC1(f"equal moment values at P_{same[0]} and P_{same[1]}")
+    c = Fraction(q * rise, run)
+    if rise * run <= 0:
         raise NonPositiveC1(f"common c1 coefficient {c} is not positive")
-    return c, gs[0] + c * phis[0]
+    return c, Fraction(g0 * run + rise * u0, run)
 
 
 def c1_coefficient(data: FixedPointData) -> Fraction:
@@ -214,25 +222,43 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
     converted to the x-basis through gamma_i = scalar * r_i.  Each sum
     is taken in integers over one common denominator: lcm_k Lambda_k for
     the first, lcm_k prod_{j<=i, j!=k} (Gamma_k - Gamma_j) for the second.
+
+    Both products are kept as running products, O(n^2) in all: the
+    first for i from n down (each step multiplies in the factor of
+    j = i+1), the second for i from 1 up (each step multiplies in the
+    factor of j = i).  The degrees are then cross-checked from 1 up.
     """
     n = data.n
     r = ring_coefficients(data).r  # raises on equal Gammas
-    gs = [p.gamma for p in data.points]
-    lambdas = [p.lambda_all for p in data.points]
+    pts = data.points
+    gs = [p.gamma for p in pts]
+    lambdas = [p.lambda_all for p in pts]
     big_l = lcm(*lambdas)
+    scale = [big_l // lam for lam in lambdas]
     sigma = _sigma_table(data)
 
+    # upper[k] = prod_{j>i} (Gamma_k - Gamma_j), for k <= i.
+    upper = [1] * (n + 1)
+    plus: dict[int, Fraction] = {}
+    for i in range(n, 0, -1):
+        acc = sum(sigma[k][i] * upper[k] * scale[k] for k in range(i + 1))
+        plus[i] = Fraction(pts[i].lambda_plus * acc, upper[i] * big_l)
+        g = gs[i]
+        for k in range(i):
+            upper[k] *= gs[k] - g
+
+    # lower[k] = prod_{j<=i, j!=k} (Gamma_k - Gamma_j), for k <= i.
+    lower = [1]
     gammas: list[Fraction] = []
     for i in range(1, n + 1):
-        upper = [prod(gs[k] - gs[j] for j in range(i + 1, n + 1)) for k in range(i + 1)]
-        acc = sum(sigma[k][i] * upper[k] * (big_l // lambdas[k]) for k in range(i + 1))
-        scalar_plus = Fraction(data.points[i].lambda_plus * acc, upper[i] * big_l)
-
-        lower = [prod(gs[k] - gs[j] for j in range(i + 1) if j != k) for k in range(i + 1)]
+        g = gs[i]
+        lower = [low * (gs[k] - g) for k, low in enumerate(lower)]
+        lower.append(prod(g - gs[j] for j in range(i)))
         den = lcm(*lower)
         acc = sum(sigma[k][i] * (den // lower[k]) for k in range(i + 1))
-        scalar_minus = Fraction(lower[i] * acc, data.points[i].lambda_minus * den)
+        scalar_minus = Fraction(lower[i] * acc, pts[i].lambda_minus * den)
 
+        scalar_plus = plus[i]
         if scalar_plus != scalar_minus:
             raise HamfixError(f"c_{i} expressions disagree: {scalar_plus} vs {scalar_minus}")
         gammas.append(scalar_plus * r[i])

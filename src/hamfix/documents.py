@@ -89,10 +89,10 @@ def document_from_json(obj: Any) -> InputDocument:
             raise ParseError(
                 f"{base}.weights", f"expected {n} weights for n = {n}, got {len(raw_weights)}"
             )
-        weights = tuple(
-            _parse_weight(w, f"{base}.weights[{k}]") for k, w in enumerate(raw_weights)
-        )
-        points.append(FixedPoint(i, phi, weights))
+        for k, w in enumerate(raw_weights):
+            if type(w) is not int:
+                _parse_weight(w, f"{base}.weights[{k}]")
+        points.append(FixedPoint(i, phi, tuple(raw_weights)))
 
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):

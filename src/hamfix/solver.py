@@ -34,7 +34,10 @@ Only a placement that passes all three is assembled, and it must still
 survive ``condition_d_offset`` and the full vanishing battery.  It
 passes ``validate`` by construction: the moment values are checked to
 be increasing integers up front, every weight is a divisor (so
-nonzero), and P_i gets exactly its i negative weights.  The search is
+nonzero), and P_i gets exactly its i negative weights.  It passes
+condition D by construction too, since every Gamma_i lies on one line
+of positive C over distinct moment values, so ``condition_d_offset``
+never rejects; it stays as the authoritative check.  The search is
 single-threaded and bounded by the ``budget=`` argument (``--budget``
 on the command line), which caps the assignments found at one point
 and the product of the per-point counts; neither count depends on the
@@ -46,7 +49,6 @@ fixed point data; the CLI and ``infer_moment_values`` use it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -239,9 +241,10 @@ def enumerate_weight_systems(
     divide its target (or, once complete, to equal it), Gamma_n and
     Gamma_{n-1} give C <= 0, or a later Gamma_i (Gamma_0 after P_1)
     leaves their line Gamma = -C*phi + d.  A full placement is assembled
-    and must still pass ``condition_d_offset`` and the vanishing battery
-    (``validate`` holds by construction).  The result is deduplicated
-    and sorted by flattened weight lists.
+    and must still pass ``condition_d_offset`` and the vanishing battery.
+    ``validate`` holds by construction, and so does condition D: the
+    moment values are distinct, C > 0 and every Gamma_i is on the line.
+    The result is deduplicated and sorted by flattened weight lists.
 
     ``budget`` (default 200000) caps both the assignments found at one
     point and the number of combinations of them (the product of the
@@ -479,35 +482,46 @@ def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
     unpaired edges when a single feasible pole remains, and are flagged
     ambiguous otherwise.  ``missing_pairs`` lists point pairs with no
     edge at all.  A zero weight raises StructureError.
+
+    The gap test runs on residues: q*w divides u_i - u_j exactly when
+    u_i and u_j agree modulo q*w, so for each |w| the lower points are
+    bucketed by residue and each upper point meets only its own bucket.
     """
     n = data.n
     # w divides phi_i - phi_j exactly when q*w divides u_i - u_j, with
     # u = q*phi integral (q the lcm of the denominators).
     q = lcm(*(p.moment_value.denominator for p in data.points))
     u = [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
-    # For each |w|, the points still carrying -w (neg) and +w (pos).
-    neg: dict[int, Counter] = {}
-    pos: dict[int, Counter] = {}
+    # For each |w|, how often each point still carries -w (neg) and +w (pos).
+    neg: dict[int, dict[int, int]] = {}
+    pos: dict[int, dict[int, int]] = {}
     for p in data.points:
+        k = p.index
         for w in p.weights:
             if w == 0:
-                raise StructureError(f"zero weight at point {p.index}")
-            (neg if w < 0 else pos).setdefault(abs(w), Counter())[p.index] += 1
+                raise StructureError(f"zero weight at point {k}")
+            at = neg.setdefault(-w, {}) if w < 0 else pos.setdefault(w, {})
+            at[k] = at.get(k, 0) + 1
 
     edges: list[SphereEdge] = []
     for w in sorted(neg.keys() & pos.keys(), reverse=True):
         uppers, lowers = neg[w], pos[w]
+        modulus = q * w
+        by_residue: dict[int, list[int]] = {}
+        for j in lowers:
+            by_residue.setdefault(u[j] % modulus, []).append(j)
         candidates = sorted(
             (i - j, j, i)
             for i in uppers
-            for j in lowers
-            if j < i and (u[i] - u[j]) % (q * w) == 0
+            for j in by_residue.get(u[i] % modulus, ())
+            if j < i
         )
         for _, j, i in candidates:
             count = min(uppers[i], lowers[j])
-            uppers[i] -= count
-            lowers[j] -= count
-            edges += [SphereEdge(j, i, w, True)] * count
+            if count:
+                uppers[i] -= count
+                lowers[j] -= count
+                edges += [SphereEdge(j, i, w, True)] * count
 
     ambiguous: list[AmbiguousWeight] = []
     for sign, table in ((-1, neg), (1, pos)):

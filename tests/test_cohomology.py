@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
+    ChernData,
     FixedPointData,
     HamfixError,
     NonConstantC1,
@@ -22,7 +24,9 @@ from hamfix import (
     ring_coefficients,
 )
 
-from conftest import cpn_b_lists, quadric_b_lists
+from hamfix.cohomology import _sigma_table
+
+from conftest import cpn_b_lists, outcome, quadric_b_lists, read_path_data
 
 # --- independent series oracles -------------------------------------------
 # Total Chern classes of the model spaces, computed by naive power-series
@@ -97,11 +101,11 @@ def test_c1_names_first_equal_pair():
 
 @st.composite
 def _fit_data(draw):
-    """Weight sums on a line Gamma = -C*phi + d (C = c/scale, possibly <= 0),
-    or perturbed off it; moment values from a small range, distinct in
-    about half the cases."""
+    """Weight sums on a line Gamma = -C*phi + d (C = c*den/scale, possibly
+    <= 0), or perturbed off it; moment values from a small range in
+    steps of scale/den, distinct in about half the cases."""
     n = draw(st.integers(1, 5))
-    scale = draw(st.integers(1, 3))
+    scale, den = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     distinct = draw(st.booleans())
     steps = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1, unique=distinct))
     c, d = draw(st.integers(-2, 4)), draw(st.integers(-5, 5))
@@ -112,7 +116,7 @@ def _fit_data(draw):
     for s in sums:
         rest = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
         weights.append([s - sum(rest)] + rest)
-    return FixedPointData.from_weights([scale * k for k in steps], weights)
+    return FixedPointData.from_weights([Fraction(scale * k, den) for k in steps], weights)
 
 
 @settings(max_examples=200)
@@ -139,6 +143,18 @@ def test_affine_fit_matches_its_definition(data):
             with pytest.raises(HamfixError) as exc:
                 measure(data)
             assert type(exc.value) is expected
+
+
+def test_c1_mismatch_names_fractional_quotients():
+    # phi = (0, 4/3, 3/2), Gamma = (3, 1, 0): the quotients are 2/(4/3)
+    # and 3/(3/2).
+    data = FixedPointData.from_weights(
+        [0, Fraction(4, 3), Fraction(3, 2)], [(1, 2), (-1, 2), (-1, 1)]
+    )
+    for measure in (c1_coefficient, condition_d_offset):
+        with pytest.raises(NonConstantC1) as exc:
+            measure(data)
+        assert str(exc.value) == "pair (0,1) gives 3/2 but pair (0,2) gives 2"
 
 
 def test_condition_d_examples():
@@ -192,6 +208,42 @@ def test_chern_quadric3():
 def test_chern_sphere():
     chern = chern_coefficients(cpn_model((0, 1)))
     assert chern.gamma == (2,)
+
+
+def _cubic_chern_coefficients(data):
+    # The Chern coefficients with every product over the Gammas taken
+    # afresh for each degree i and point k, O(n^3) in all.
+    n = data.n
+    r = ring_coefficients(data).r  # raises on equal Gammas
+    gs = [p.gamma for p in data.points]
+    lambdas = [p.lambda_all for p in data.points]
+    big_l = lcm(*lambdas)
+    sigma = _sigma_table(data)
+
+    gammas = []
+    for i in range(1, n + 1):
+        upper = [prod(gs[k] - gs[j] for j in range(i + 1, n + 1)) for k in range(i + 1)]
+        acc = sum(sigma[k][i] * upper[k] * (big_l // lambdas[k]) for k in range(i + 1))
+        scalar_plus = Fraction(data.points[i].lambda_plus * acc, upper[i] * big_l)
+
+        lower = [prod(gs[k] - gs[j] for j in range(i + 1) if j != k) for k in range(i + 1)]
+        den = lcm(*lower)
+        acc = sum(sigma[k][i] * (den // lower[k]) for k in range(i + 1))
+        scalar_minus = Fraction(lower[i] * acc, data.points[i].lambda_minus * den)
+
+        if scalar_plus != scalar_minus:
+            raise HamfixError(f"c_{i} expressions disagree: {scalar_plus} vs {scalar_minus}")
+        gammas.append(scalar_plus * r[i])
+
+    return ChernData(sigma, tuple(gammas))
+
+
+@settings(max_examples=300)
+@given(read_path_data())
+def test_chern_running_products_match_the_cubic_reference(data):
+    # Same gammas and sigma table, or the same exception class and text:
+    # equal Gammas, a zero weight, or the two expressions disagreeing.
+    assert outcome(chern_coefficients, data) == outcome(_cubic_chern_coefficients, data)
 
 
 def test_sigma_table_invariants():

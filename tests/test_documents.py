@@ -104,6 +104,18 @@ def test_parse_rejects_bad_weights():
         parse_document(text)
 
 
+@pytest.mark.parametrize(("bad", "shown"), [(True, "True"), (2.0, "2.0")])
+def test_parse_names_a_bad_weight_at_a_later_index(bad, shown):
+    # Valid weights before it are not checked one by one, but a bool or a
+    # float further on is still refused with its own path.
+    obj = json.loads(CANONICAL_CP2)
+    obj["points"][2]["weights"][1] = bad
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(obj))
+    assert err.value.path == "points[2].weights[1]"
+    assert str(err.value) == f"points[2].weights[1]: expected an integer weight, got {shown}"
+
+
 def test_parse_rejects_wrong_counts():
     text = json.dumps({"n": 2, "points": [{"phi": 0, "weights": [1, 2]}]})
     with pytest.raises(ParseError) as err:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
+    AmbiguousWeight,
     FixedPointData,
+    GradientSphereGraph,
     InconsistentGamma,
     RingKind,
     RingSpec,
     SearchBudgetExceeded,
     SpecMismatch,
+    SphereEdge,
     StructureError,
     c1_coefficient,
     condition_d_offset,
@@ -30,7 +34,7 @@ from hamfix import (
 from hamfix.errors import HamfixError
 from hamfix.solver import _divisors, _negative_assignments
 
-from conftest import cpn_b_lists, quadric_b_lists
+from conftest import cpn_b_lists, outcome, quadric_b_lists, read_path_data
 
 CASE1_WEIGHTS = [(1, 2, 3), (-1, 1, 4), (-1, -4, 1), (-1, -2, -3)]
 CASE2_WEIGHTS = [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)]
@@ -454,3 +458,58 @@ def test_gradient_graph_of_models_is_the_standard_sphere_set(model):
     assert [(e.lower, e.upper, e.weight, e.paired) for e in graph.edges] == expected
     assert graph.ambiguous == ()
     assert graph.missing_pairs == ()
+
+
+def _all_pairs_gradient_graph(data):
+    # The greedy with every (upper, lower) point pair tested for the gap
+    # and a Counter per |w|: the reference the residue buckets must match.
+    n = data.n
+    q = math.lcm(*(p.moment_value.denominator for p in data.points))
+    u = [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
+    neg, pos = {}, {}
+    for p in data.points:
+        for w in p.weights:
+            if w == 0:
+                raise StructureError(f"zero weight at point {p.index}")
+            (neg if w < 0 else pos).setdefault(abs(w), Counter())[p.index] += 1
+
+    edges = []
+    for w in sorted(neg.keys() & pos.keys(), reverse=True):
+        uppers, lowers = neg[w], pos[w]
+        candidates = sorted(
+            (i - j, j, i)
+            for i in uppers
+            for j in lowers
+            if j < i and (u[i] - u[j]) % (q * w) == 0
+        )
+        for _, j, i in candidates:
+            count = min(uppers[i], lowers[j])
+            uppers[i] -= count
+            lowers[j] -= count
+            edges += [SphereEdge(j, i, w, True)] * count
+
+    ambiguous = []
+    for sign, table in ((-1, neg), (1, pos)):
+        leftovers = sorted((k, w, c) for w, at in table.items() for k, c in at.items() if c)
+        for k, w, count in leftovers:
+            poles = range(k) if sign < 0 else range(k + 1, n + 1)
+            feasible = tuple(m for m in poles if (u[k] - u[m]) % (q * w) == 0)
+            if len(feasible) == 1:
+                edges += [SphereEdge(*sorted((k, feasible[0])), w, False)] * count
+            else:
+                ambiguous += [AmbiguousWeight(k, sign * w, feasible)] * count
+
+    edges.sort(key=lambda e: (e.lower, e.upper, e.weight, not e.paired))
+    covered = {(e.lower, e.upper) for e in edges}
+    missing = tuple(
+        (j, i) for j in range(n + 1) for i in range(j + 1, n + 1) if (j, i) not in covered
+    )
+    return GradientSphereGraph(n, tuple(edges), tuple(ambiguous), missing)
+
+
+@settings(max_examples=300)
+@given(read_path_data())
+def test_gradient_graph_residue_buckets_match_the_all_pairs_reference(data):
+    # Same edges, ambiguous weights and missing pairs in the same order,
+    # or the same exception class and text.
+    assert outcome(gradient_graph, data) == outcome(_all_pairs_gradient_graph, data)
