@@ -16,18 +16,28 @@ this ansatz is a theorem; for other rings it can genuinely fail (a
 joining P_0 and P_2 at all), so results for those rings are a filter,
 never a uniqueness claim.
 
-The search runs in two stages.  First, at each point, a depth-first
-search over ascending divisors lists the assignments of its negative
-weights; a branch stops as soon as the product still to be placed
-exceeds the product of the remaining |gaps|, the most the remaining
-slots can reach.  Then the assignments are placed depth first from P_n
+The search runs in two stages, on integer product targets: r_i's
+numerator times the gap product, divided exactly by r_i's denominator
+(a point whose target is not an integer has no assignment).  First, at
+each point, a depth-first search over ascending divisors lists the
+assignments of its negative weights.  The product still to be placed
+can be at most the product of the remaining |gaps|, so each slot's scan
+starts at the least divisor that leaves the later slots enough reach and
+stops at the product itself, and the last slot takes what is left if it
+divides its gap.  Then the assignments are placed depth first from P_n
 down to P_1, keeping a running positive product and weight sum Gamma
-per point, and a placement is abandoned at the first failed test:
+per point.  Placing P_i completes the positive product at P_{i-1}, which
+forces the last weight of P_i's assignment; Gamma_n and Gamma_{n-1} fix
+the line Gamma = -C*phi + d, which forces the weight sum of every later
+point.  So each point's assignments are indexed once by their last
+weight and their sum, and a placement looks up its one bucket (in list
+order) instead of scanning the list.  A placement is abandoned at the
+first failed test:
 
 * a positive product must divide its point's mirrored target while
   points above are still being placed, and equal it once they are;
-* Gamma_n and Gamma_{n-1} fix the line Gamma = -C*phi + d, whose C must
-  be positive (condition D needs a constant positive c1 coefficient);
+* C = (Gamma_{n-1} - Gamma_n) / (phi_n - phi_{n-1}) must be positive
+  (condition D needs a constant positive c1 coefficient);
 * every later Gamma_i, and Gamma_0 after P_1, must lie on that line.
 
 Only a placement that passes all three is assembled, and it must still
@@ -41,7 +51,7 @@ never rejects; it stays as the authoritative check.  The search is
 single-threaded and bounded by the ``budget=`` argument (``--budget``
 on the command line), which caps the assignments found at one point
 and the product of the per-point counts; neither count depends on the
-pruning.
+bounds or the lookup.
 
 ``consistency_checks`` is the one verdict on whether data is genuine
 fixed point data; the CLI and ``infer_moment_values`` use it.
@@ -49,6 +59,7 @@ fixed point data; the CLI and ``infer_moment_values`` use it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -125,24 +136,23 @@ def _divisors(m: int) -> list[int]:
 
 
 def _negative_assignments(
-    gaps: Sequence[int], target: Fraction, budget: int
+    gaps: Sequence[int], target: int, budget: int
 ) -> list[tuple[int, ...]]:
     """All tuples (w_0..w_{k-1}) of negative integers with w_j dividing
     gaps[j] (both negative) and product equal to ``target``, in the
     order of a depth-first search over ascending divisors.
 
-    A branch stops as soon as the part of the product still to be
-    placed exceeds what the remaining slots can reach (the product of
-    their |gaps|); that cuts only branches with no result, so the list
+    The product still to be placed can be at most what the remaining
+    slots reach (the product of their |gaps|), so a slot's scan starts at
+    the least divisor that leaves the later slots enough reach and stops
+    at the product itself; the last slot takes what is left if it divides
+    its gap.  Both bounds cut only branches with no result, so the list
     and the budget cap are those of the unbounded search.
     """
-    if target.denominator != 1:
-        return []
-    t = target.numerator
     k = len(gaps)
-    if t == 0 or (t < 0) != (k % 2 == 1):
+    if target == 0 or (target < 0) != (k % 2 == 1):
         return []
-    choices = [_divisors(-g) for g in gaps]
+    choices = [_divisors(-g) for g in gaps[:-1]]
     # reach[j]: the largest product slots j..k-1 can still make.
     reach = [1] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -151,23 +161,33 @@ def _negative_assignments(
     results: list[tuple[int, ...]] = []
     stack: list[int] = []
 
+    def keep(assignment: tuple[int, ...]):
+        results.append(assignment)
+        if len(results) > budget:
+            raise SearchBudgetExceeded(
+                f"more than {budget} weight assignments at one point"
+            )
+
     def extend(j: int, remaining: int):
-        if remaining > reach[j]:
+        # Entered with remaining <= reach[j].
+        if j == k - 1:
+            if reach[j] % remaining == 0:
+                keep((*stack, -remaining))
             return
-        if j == k:
-            results.append(tuple(-d for d in stack))
-            if len(results) > budget:
-                raise SearchBudgetExceeded(
-                    f"more than {budget} weight assignments at one point"
-                )
-            return
-        for d in choices[j]:
+        row = choices[j]
+        least = -(-remaining // reach[j + 1])
+        for d in row[bisect_left(row, least) : bisect_right(row, remaining)]:
             if remaining % d == 0:
-                stack.append(d)
+                stack.append(-d)
                 extend(j + 1, remaining // d)
                 stack.pop()
 
-    extend(0, abs(t))
+    t = abs(target)
+    if t <= reach[0]:
+        if k:
+            extend(0, t)
+        else:
+            keep(())
     return results
 
 
@@ -234,36 +254,55 @@ def enumerate_weight_systems(
     For each point P_i the i negative weights are assigned bijectively
     to the points below, each dividing its moment gap and multiplying to
     the ring's product target; positive weights are the forced mirrors.
-    Each point's assignments come from a divisor search that stops a
-    branch once the product left exceeds the product of the remaining
-    |gaps|.  They are placed depth first from P_n down to P_1, and a
-    placement is cut as soon as a running positive product fails to
-    divide its target (or, once complete, to equal it), Gamma_n and
-    Gamma_{n-1} give C <= 0, or a later Gamma_i (Gamma_0 after P_1)
-    leaves their line Gamma = -C*phi + d.  A full placement is assembled
-    and must still pass ``condition_d_offset`` and the vanishing battery.
-    ``validate`` holds by construction, and so does condition D: the
-    moment values are distinct, C > 0 and every Gamma_i is on the line.
-    The result is deduplicated and sorted by flattened weight lists.
+    The targets are exact ints (a point whose target is not an integer
+    has no assignment), and each point's assignments come from the
+    two-sided divisor search of ``_negative_assignments``.  They are
+    placed depth first from P_n down to P_1.  Placing P_i forces its
+    weight to P_{i-1}, whose positive product it completes, and for
+    i <= n-2 its weight sum, since Gamma_i must lie on the line that
+    Gamma_n and Gamma_{n-1} fix; so each placement reads one bucket of
+    an index built once per call, in list order.  A placement is cut as
+    soon as a running positive product fails to divide its target, C <=
+    0, or Gamma_0 leaves the line.  A full placement is assembled and
+    must still pass ``condition_d_offset`` and the vanishing battery;
+    ``validate`` and condition D hold by construction.  The result is
+    deduplicated and sorted by flattened weight lists.
+
+    An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
+    genuine ring does; otherwise SpecMismatch names the first bad entry.
 
     ``budget`` (default 200000) caps both the assignments found at one
     point and the number of combinations of them (the product of the
     per-point counts); exceeding either raises SearchBudgetExceeded
-    rather than truncating.  The pruning does not change either count.
+    rather than truncating.  Every point is searched before the
+    combinations are counted, and neither count depends on the bounds
+    or the lookup.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
-    targets = lambda_minus_targets(spec, vals)
-    pos_targets = positive_targets(spec, vals)
     if budget is None:
         budget = DEFAULT_BUDGET
     elif budget < 0:
         raise SpecMismatch(f"budget must be nonnegative, got {budget}")
+    r = spec.r_sequence()
+    if spec.kind is RingKind.OTHER:
+        # alpha_0 = 1 and alpha_1 = x, and Lambda_i^- has the sign of the
+        # gap product, so every genuine ring has r_0 = r_1 = 1 and r_i > 0.
+        for i, v in enumerate(r):
+            if v <= 0 or (i < 2 and v != 1):
+                need = "1" if i < 2 else "positive"
+                raise SpecMismatch(f"r-sequence entry r_{i} must be {need}, got {v}")
+
+    def exact(i: int, gap_product: int) -> int | None:
+        # r_i * gap_product as an int, or None when it is not one.
+        q, rest = divmod(r[i].numerator * gap_product, r[i].denominator)
+        return None if rest else q
 
     per_point: list[list[tuple[int, ...]]] = []
     for i in range(1, n + 1):
         gaps = [vals[j] - vals[i] for j in range(i)]
-        per_point.append(_negative_assignments(gaps, targets[i], budget))
+        target = exact(i, prod(gaps))
+        per_point.append([] if target is None else _negative_assignments(gaps, target, budget))
 
     total = prod(len(a) for a in per_point)
     if total > budget:
@@ -271,11 +310,11 @@ def enumerate_weight_systems(
             f"{total} candidate systems exceed the budget of {budget}"
         )
 
-    # A positive product is a product of divisors: a positive integer,
-    # and the empty product 1 at P_n.
-    if pos_targets[n] != 1 or any(t.denominator != 1 or t <= 0 for t in pos_targets):
+    # A positive product is a product of divisors, so an integer; with
+    # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
+    pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
+    if None in pos:
         return []
-    pos = [t.numerator for t in pos_targets]
     top_gap = vals[n] - vals[n - 1]
 
     def on_line(gammas: list[int], k: int) -> bool:
@@ -285,6 +324,15 @@ def enumerate_weight_systems(
         if k == n - 1:
             return rise > 0
         return (gammas[k] - gammas[n]) * top_gap == rise * (vals[n] - vals[k])
+
+    # Key each assignment by what a placement forces: its last weight,
+    # and its sum too below P_{n-1}.  A bucket keeps list order.
+    buckets: list[dict] = []
+    for i, assignments in enumerate(per_point, start=1):
+        by_key: dict = {}
+        for a in assignments:
+            by_key.setdefault((a[-1], sum(a)) if i <= n - 2 else a[-1], []).append(a)
+        buckets.append(by_key)
 
     unique: dict[tuple, FixedPointData] = {}
     placed: list[tuple[int, ...]] = [()] * n
@@ -301,14 +349,25 @@ def enumerate_weight_systems(
             if vanishing_battery(data).passed:
                 unique.setdefault(tuple(p.weights for p in data.points), data)
             return
-        for assignment in per_point[i - 1]:
+        last, rest = divmod(pos[i - 1], products[i - 1])
+        if rest:
+            return
+        key = -last
+        if i <= n - 2:
+            # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
+            # C = (Gamma_{n-1} - Gamma_n) / top_gap.
+            offset, rest = divmod((gammas[n - 1] - gammas[n]) * (vals[n] - vals[i]), top_gap)
+            if rest:
+                return
+            key = (key, gammas[n] + offset - gammas[i])
+        for assignment in buckets[i - 1].get(key, ()):
             # P_j (j < i) gains the positive weight -w.
             below = [p * -w for p, w in zip(products, assignment)]
-            if below[i - 1] != pos[i - 1] or any(pos[j] % below[j] for j in range(i - 1)):
+            if any(pos[j] % below[j] for j in range(i - 1)):
                 continue
             sums = [g - w for g, w in zip(gammas, assignment)]
             sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
-            if (i < n and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
+            if (i == n - 1 and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
                 continue
             placed[i - 1] = assignment
             place(i - 1, below, sums)

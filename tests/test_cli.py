@@ -273,6 +273,24 @@ def test_solve_other_requires_r(capsys):
     assert main(["solve", "--ring", "other", "--phi", "0,1,2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "r, phi, detail",
+    [
+        ("1,1/2", "0,2", "r_1 must be 1, got 1/2"),
+        ("1,1,0,0", "0,1,2,3", "r_2 must be positive, got 0"),
+        ("1,1,-1,-1", "0,1,2,3", "r_2 must be positive, got -1"),
+        ("2,1,1", "0,1,2", "r_0 must be 1, got 2"),
+    ],
+)
+def test_solve_other_refuses_a_meaningless_r_sequence(capsys, r, phi, detail):
+    # No fixed point data has such a ring, so a search result would be
+    # meaningless: (1, 1/2) once returned P_0: 1, P_1: -1, whose ring is (1, 1).
+    assert main(["solve", "--ring", "other", "--r", r, "--phi", phi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: r-sequence entry {detail}\n"
+
+
 def test_model_ring_refuses_r(capsys):
     # --r is read whenever it is given, and a model ring takes none
     for argv, kind in (

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from hamfix import (
     verify_equivalence,
 )
 from hamfix.errors import HamfixError
-from hamfix.solver import _divisors, _negative_assignments
+from hamfix.solver import DEFAULT_BUDGET, _assemble, _divisors, _negative_assignments
 
 from conftest import cpn_b_lists, outcome, quadric_b_lists, read_path_data
 
@@ -196,6 +197,22 @@ def test_enumerate_other_ring_is_filter_only():
     assert vanishing_battery(true_system).passed
 
 
+@pytest.mark.parametrize(
+    "r, phis, detail",
+    [
+        ((1, Fraction(1, 2)), [0, 2], "r_1 must be 1, got 1/2"),
+        ((Fraction(1, 2), 1, 1), [0, 1, 2], "r_0 must be 1, got 1/2"),
+        ((1, 1, 0, 0), [0, 1, 2, 3], "r_2 must be positive, got 0"),
+        ((1, 1, 1, -1), [0, 1, 2, 3], "r_3 must be positive, got -1"),
+        ((1, 1, Fraction(1, 5), Fraction(-1, 5)), [0, 1, 5, 6], "r_3 must be positive, got -1/5"),
+    ],
+)
+def test_enumerate_refuses_a_meaningless_r_sequence(r, phis, detail):
+    spec = RingSpec(RingKind.OTHER, len(r) - 1, r)  # the spec itself is allowed
+    with pytest.raises(SpecMismatch, match=rf"^r-sequence entry {re.escape(detail)}$"):
+        enumerate_weight_systems(spec, phis)
+
+
 def test_enumerate_results_pass_all_checks():
     spec = RingSpec(RingKind.QUADRIC, 5)
     systems = enumerate_weight_systems(spec, [-3, -2, -1, 1, 2, 3])
@@ -219,7 +236,7 @@ def test_enumerate_budget_caps_the_combinations_exactly():
     phis = [-3, -1, 1, 3]
     targets = lambda_minus_targets(spec, phis)
     counts = [
-        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], targets[i], 100))
+        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], int(targets[i]), 100))
         for i in range(1, 4)
     ]
     assert counts == [1, 2, 3]
@@ -263,6 +280,13 @@ def _unbounded_negative_assignments(gaps, target, budget):
     return results
 
 
+def _int_target_search(gaps, target, budget):
+    # The search takes an int target; a fractional one has no assignment.
+    if target.denominator != 1:
+        return []
+    return _negative_assignments(gaps, target.numerator, budget)
+
+
 def _outcome(search, gaps, target, budget):
     try:
         return search(gaps, target, budget)
@@ -286,8 +310,172 @@ def _assignment_problems(draw):
 @given(_assignment_problems())
 def test_bounded_assignments_match_the_unbounded_search(problem):
     gaps, target, budget = problem
-    assert _outcome(_negative_assignments, gaps, target, budget) == _outcome(
+    assert _outcome(_int_target_search, gaps, target, budget) == _outcome(
         _unbounded_negative_assignments, gaps, target, budget
+    )
+
+
+@pytest.mark.parametrize(
+    "gaps, target, expected",
+    [
+        # The least useful divisor ceil(12 / 4) = 3 is itself a divisor.
+        ((-6, -4), 12, [(-3, -4), (-6, -2)]),
+        # 9 is not divisible by the 6 or the 4 left after the first slot.
+        ((-6, -9), 12, []),
+        ((-6, -9), 18, [(-2, -9), (-6, -3)]),
+        # target +-1, and one with the wrong sign for its slot count
+        ((-3,), -1, [(-1,)]),
+        ((-3, -5), 1, [(-1, -1)]),
+        ((-3,), 1, []),
+        ((-2, -2), -1, []),
+        # a single slot: the product must divide its gap
+        ((-12,), -4, [(-4,)]),
+        ((-12,), -5, []),
+        ((-12,), -24, []),
+        ((), 1, [()]),
+        ((), 2, []),
+    ],
+)
+def test_bounded_assignments_edge_cases(gaps, target, expected):
+    assert _negative_assignments(gaps, target, 10) == expected
+    assert _unbounded_negative_assignments(gaps, Fraction(target), 10) == expected
+
+
+def test_bounded_assignments_budget_counts_every_result():
+    over = "^more than {} weight assignments at one point$"
+    for gaps, target in (((), 1), ((-6, -9), 18)):
+        with pytest.raises(SearchBudgetExceeded, match=over.format(0)):
+            _negative_assignments(gaps, target, 0)
+    assert len(_negative_assignments((-6, -9), 18, 2)) == 2
+    with pytest.raises(SearchBudgetExceeded, match=over.format(1)):
+        _negative_assignments((-6, -9), 18, 1)
+
+
+# --- placement by lookup -----------------------------------------------------
+
+
+def _flat_scan_weight_systems(spec, phis, *, budget=None):
+    # The placement that scans every assignment of a point and tests the
+    # forced last weight and the line for each: the reference the
+    # bucketed lookup must match, on Fraction targets and the unbounded
+    # divisor search.
+    vals = list(phis)
+    n = spec.n
+    targets = lambda_minus_targets(spec, vals)
+    pos_targets = positive_targets(spec, vals)
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    elif budget < 0:
+        raise SpecMismatch(f"budget must be nonnegative, got {budget}")
+
+    per_point = []
+    for i in range(1, n + 1):
+        gaps = [vals[j] - vals[i] for j in range(i)]
+        per_point.append(_unbounded_negative_assignments(gaps, targets[i], budget))
+
+    total = math.prod(len(a) for a in per_point)
+    if total > budget:
+        raise SearchBudgetExceeded(f"{total} candidate systems exceed the budget of {budget}")
+
+    if pos_targets[n] != 1 or any(t.denominator != 1 or t <= 0 for t in pos_targets):
+        return []
+    pos = [t.numerator for t in pos_targets]
+    top_gap = vals[n] - vals[n - 1]
+
+    def on_line(gammas, k):
+        rise = gammas[n - 1] - gammas[n]
+        if k == n - 1:
+            return rise > 0
+        return (gammas[k] - gammas[n]) * top_gap == rise * (vals[n] - vals[k])
+
+    unique = {}
+    placed = [()] * n
+
+    def place(i, products, gammas):
+        if i == 0:
+            data = _assemble(vals, placed, n)
+            try:
+                condition_d_offset(data)
+            except HamfixError:
+                return
+            if vanishing_battery(data).passed:
+                unique.setdefault(tuple(p.weights for p in data.points), data)
+            return
+        for assignment in per_point[i - 1]:
+            below = [p * -w for p, w in zip(products, assignment)]
+            if below[i - 1] != pos[i - 1] or any(pos[j] % below[j] for j in range(i - 1)):
+                continue
+            sums = [g - w for g, w in zip(gammas, assignment)]
+            sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
+            if (i < n and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
+                continue
+            placed[i - 1] = assignment
+            place(i - 1, below, sums)
+
+    place(n, [1] * n, [0] * (n + 1))
+    return [unique[k] for k in sorted(unique)]
+
+
+def _counted_search(search, spec, phis, budget):
+    # (systems or the exception's class and text, from_weights calls)
+    calls = []
+    from_weights = FixedPointData.from_weights.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return from_weights(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FixedPointData, "from_weights", classmethod(counting))
+        try:
+            result = search(spec, phis, budget=budget)
+        except HamfixError as exc:
+            result = f"{type(exc).__name__}: {exc}"
+    return result, len(calls)
+
+
+_OTHER_R = (1, Fraction(1, 2), Fraction(1, 3), 2, Fraction(1, 5))
+
+
+@st.composite
+def _placement_instances(draw):
+    """CP^n (n <= 6), Q^n (n <= 7) or an Other ring with r_0 = r_1 = 1,
+    at model-shaped or random increasing moment values, and a budget."""
+    kind = draw(st.sampled_from(["cpn", "quadric", "other"]))
+    if kind == "cpn":
+        spec = RingSpec(RingKind.PROJECTIVE_SPACE, draw(st.integers(1, 6)))
+    elif kind == "quadric":
+        spec = RingSpec(RingKind.QUADRIC, draw(st.sampled_from([3, 5, 7])))
+    else:
+        n = draw(st.integers(1, 5))
+        r = (1, 1) + tuple(draw(st.sampled_from(_OTHER_R)) for _ in range(n - 1))
+        spec = RingSpec(RingKind.OTHER, n, r[: n + 1])
+    n = spec.n
+    start = draw(st.integers(-10, 10))
+    if draw(st.booleans()):
+        if kind == "quadric":
+            h = (n + 1) // 2
+            magnitudes = st.lists(st.integers(1, 4 * h + 2), min_size=h, max_size=h, unique=True)
+            mags = sorted(draw(magnitudes))
+            phis = [start - m for m in reversed(mags)] + [start + m for m in mags]
+        else:
+            step = draw(st.integers(1, 4))
+            phis = [start + step * i for i in range(n + 1)]
+    else:
+        top = 6 if n <= 4 else 4
+        steps = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+        phis = list(itertools.accumulate(steps, initial=start))
+    return spec, phis, draw(st.sampled_from([None, None, 0, 1, 3, 50]))
+
+
+@settings(max_examples=300)
+@given(_placement_instances())
+def test_placement_by_lookup_matches_the_flat_scan(instance):
+    # Same systems in the same order, the same number of assembled
+    # candidates, and the same budget outcome.
+    spec, phis, budget = instance
+    assert _counted_search(enumerate_weight_systems, spec, phis, budget) == _counted_search(
+        _flat_scan_weight_systems, spec, phis, budget
     )
 
 
