@@ -179,7 +179,7 @@ def _cmd_check(args) -> int:
     passed = all(c.passed for c in checks)
     lines = [_check_line(c) for c in checks]
     lines.append("all checks passed" if passed else "some checks failed")
-    payload = {"n": data.n, "passed": passed, "checks": [vars(c) for c in checks]}
+    payload = {"n": data.n, "passed": passed, "checks": [c._asdict() for c in checks]}
     return _report(args, payload, lines, EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
         "n": spec.n,
         "passed": report.passed,
         "count": report.system_count,
-        "implications": [vars(line) for line in report.lines],
+        "implications": [line._asdict() for line in report.lines],
     }
     lines = [_check_line(line) for line in report.lines]
     lines.append("equivalences verified" if report.passed else "verification failed")

@@ -25,7 +25,7 @@ negative weights, one by positive); both are computed and must agree.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm, prod
 
@@ -42,26 +42,27 @@ class RingKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(namedtuple("RingSpec", "kind n r")):
     """A target cohomology ring: projective space, odd quadric, or a bare
     r-sequence for anything else."""
 
-    kind: RingKind
-    n: int
-    r: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise SpecMismatch(f"n must be >= 1, got {self.n}")
-        if self.kind is RingKind.QUADRIC and (self.n < 3 or self.n % 2 == 0):
-            raise SpecMismatch(f"quadric ring requires odd n >= 3, got n = {self.n}")
-        if self.kind is RingKind.OTHER:
-            if self.r is None or len(self.r) != self.n + 1:
+    def __new__(cls, kind: RingKind, n: int, r: tuple[Fraction, ...] | None = None):
+        if n < 1:
+            raise SpecMismatch(f"n must be >= 1, got {n}")
+        if kind is RingKind.QUADRIC and (n < 3 or n % 2 == 0):
+            raise SpecMismatch(f"quadric ring requires odd n >= 3, got n = {n}")
+        if kind is RingKind.OTHER:
+            if r is None or len(r) != n + 1:
                 raise SpecMismatch("Other ring needs an explicit r-sequence of length n+1")
-            object.__setattr__(self, "r", tuple(Fraction(v) for v in self.r))
-        elif self.r is not None:
-            raise SpecMismatch(f"{self.kind} ring takes no explicit r-sequence")
+            r = tuple(Fraction(v) for v in r)
+        elif r is not None:
+            raise SpecMismatch(f"{kind} ring takes no explicit r-sequence")
+        return super().__new__(cls, kind, n, r)
+
+    # ``_replace`` builds through ``_make``, so that validates too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def r_sequence(self) -> tuple[Fraction, ...]:
         """The generator ratios r_0..r_n this ring prescribes."""
@@ -76,19 +77,17 @@ class RingSpec:
         return self.r
 
 
-@dataclass(frozen=True)
-class RingCoefficients:
+class RingCoefficients(namedtuple("RingCoefficients", "r")):
     """The measured ratios r_i with alpha_i = r_i * x^i (r_0 = r_1 = 1)."""
 
-    r: tuple[Fraction, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return len(self.r) - 1
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(namedtuple("ChernData", "sigma gamma")):
     """Per-point symmetric functions of the weights and the global
     coefficients gamma_i with c_i(M) = gamma_i * x^i.
 
@@ -99,8 +98,7 @@ class ChernData:
     data with a consistent moment scale gamma_1 equals the c1 constant C.
     """
 
-    sigma: tuple[tuple[int, ...], ...]
-    gamma: tuple[Fraction, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -182,11 +180,14 @@ def ring_coefficients(data: FixedPointData) -> RingCoefficients:
     """
     gs = _distinct_gammas(data)
     pts = data.points
+    rise, lam1 = gs[1] - gs[0], pts[1].lambda_minus
+    rise_i, lam1_i = rise, lam1  # (Gamma_1 - Gamma_0)^i and (Lambda_1^-)^i
     r = [Fraction(1), Fraction(1)]  # r_0 = r_1 = 1 by normalization
     for i in range(2, data.n + 1):
-        num = pts[i].lambda_minus * (gs[1] - gs[0]) ** i
-        den = pts[1].lambda_minus**i * prod(gs[i] - gs[j] for j in range(i))
-        r.append(Fraction(num, den))
+        rise_i *= rise
+        lam1_i *= lam1
+        den = lam1_i * prod(gs[i] - gs[j] for j in range(i))
+        r.append(Fraction(pts[i].lambda_minus * rise_i, den))
     return RingCoefficients(tuple(r))
 
 
@@ -226,12 +227,15 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
     Both products are kept as running products, O(n^2) in all: the
     first for i from n down (each step multiplies in the factor of
     j = i+1), the second for i from 1 up (each step multiplies in the
-    factor of j = i).  The degrees are then cross-checked from 1 up.
+    factor of j = i).  The degrees are then cross-checked from 1 up, by
+    cross-multiplying the two integer quotients.  In scalar * r_i the
+    factor prod_{j<i} (Gamma_i - Gamma_j) / Lambda_i^- cancels, so
+    gamma_i = acc * (Gamma_1 - Gamma_0)^i / (den * (Lambda_1^-)^i) with
+    acc / den the second sum, and ``ring_coefficients`` is not called.
     """
     n = data.n
-    r = ring_coefficients(data).r  # raises on equal Gammas
+    gs = _distinct_gammas(data)
     pts = data.points
-    gs = [p.gamma for p in pts]
     lambdas = [p.lambda_all for p in pts]
     big_l = lcm(*lambdas)
     scale = [big_l // lam for lam in lambdas]
@@ -239,16 +243,18 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
 
     # upper[k] = prod_{j>i} (Gamma_k - Gamma_j), for k <= i.
     upper = [1] * (n + 1)
-    plus: dict[int, Fraction] = {}
+    plus: dict[int, tuple[int, int]] = {}  # degree -> (numerator, denominator)
     for i in range(n, 0, -1):
         acc = sum(sigma[k][i] * upper[k] * scale[k] for k in range(i + 1))
-        plus[i] = Fraction(pts[i].lambda_plus * acc, upper[i] * big_l)
+        plus[i] = (pts[i].lambda_plus * acc, upper[i] * big_l)
         g = gs[i]
         for k in range(i):
             upper[k] *= gs[k] - g
 
     # lower[k] = prod_{j<=i, j!=k} (Gamma_k - Gamma_j), for k <= i.
     lower = [1]
+    rise, lam1 = gs[1] - gs[0], pts[1].lambda_minus
+    rise_i, lam1_i = 1, 1  # (Gamma_1 - Gamma_0)^i and (Lambda_1^-)^i
     gammas: list[Fraction] = []
     for i in range(1, n + 1):
         g = gs[i]
@@ -256,12 +262,14 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
         lower.append(prod(g - gs[j] for j in range(i)))
         den = lcm(*lower)
         acc = sum(sigma[k][i] * (den // lower[k]) for k in range(i + 1))
-        scalar_minus = Fraction(lower[i] * acc, pts[i].lambda_minus * den)
-
-        scalar_plus = plus[i]
-        if scalar_plus != scalar_minus:
-            raise HamfixError(f"c_{i} expressions disagree: {scalar_plus} vs {scalar_minus}")
-        gammas.append(scalar_plus * r[i])
+        minus_num, minus_den = lower[i] * acc, pts[i].lambda_minus * den
+        plus_num, plus_den = plus[i]
+        if plus_num * minus_den != minus_num * plus_den:
+            scalars = Fraction(plus_num, plus_den), Fraction(minus_num, minus_den)
+            raise HamfixError(f"c_{i} expressions disagree: {scalars[0]} vs {scalars[1]}")
+        rise_i *= rise
+        lam1_i *= lam1
+        gammas.append(Fraction(acc * rise_i, den * lam1_i))
 
     return ChernData(sigma, tuple(gammas))
 

@@ -15,7 +15,7 @@ instead of raising, so a single pass can name all problems in a file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence, Union
@@ -40,25 +40,26 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
     """One isolated fixed point: position, moment value, weight multiset.
 
+    The moment value is coerced with ``rat`` here and nowhere else.
     Weights are stored sorted ascending so equal multisets compare equal.
     Gamma_P and the Lambda_P products are computed on access, so a point
     with a zero weight still builds and ``validate`` can report it.
     """
 
-    index: int
-    moment_value: Fraction
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "moment_value", rat(self.moment_value))
-        for w in self.weights:
+    def __new__(cls, index: int, moment_value: RatLike, weights: Iterable[int]):
+        moment_value = rat(moment_value)
+        for w in weights:
             if isinstance(w, bool) or not isinstance(w, int):
-                raise StructureError(f"weight {w!r} at point {self.index} is not an integer")
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
+                raise StructureError(f"weight {w!r} at point {index} is not an integer")
+        return super().__new__(cls, index, moment_value, tuple(sorted(weights)))
+
+    # ``_replace`` builds through ``_make``, so that validates too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def negative_count(self) -> int:
@@ -87,8 +88,7 @@ class FixedPoint:
         return prod(w for w in self.weights if w > 0)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(namedtuple("FixedPointData", "n points")):
     """n plus the ordered list of n+1 fixed points.
 
     Construction enforces only structure: n >= 1, exactly n+1 points with
@@ -97,23 +97,22 @@ class FixedPointData:
     the job of ``validate``.
     """
 
-    n: int
-    points: tuple[FixedPoint, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise StructureError(f"n must be a positive integer, got {self.n!r}")
-        pts = tuple(self.points)
-        if len(pts) != self.n + 1:
-            raise StructureError(f"expected {self.n + 1} points, got {len(pts)}")
+    def __new__(cls, n: int, points: Iterable[FixedPoint]):
+        if not isinstance(n, int) or n < 1:
+            raise StructureError(f"n must be a positive integer, got {n!r}")
+        pts = tuple(points)
+        if len(pts) != n + 1:
+            raise StructureError(f"expected {n + 1} points, got {len(pts)}")
         for i, p in enumerate(pts):
             if p.index != i:
                 raise StructureError(f"point at position {i} has index {p.index}")
-            if len(p.weights) != self.n:
-                raise StructureError(
-                    f"point {i} has {len(p.weights)} weights, expected {self.n}"
-                )
-        object.__setattr__(self, "points", pts)
+            if len(p.weights) != n:
+                raise StructureError(f"point {i} has {len(p.weights)} weights, expected {n}")
+        return super().__new__(cls, n, pts)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_weights(
@@ -126,7 +125,7 @@ class FixedPointData:
             raise StructureError("moment values and weight lists differ in length")
         n = len(moment_values) - 1
         pts = tuple(
-            FixedPoint(i, rat(phi), tuple(ws))
+            FixedPoint(i, phi, tuple(ws))
             for i, (phi, ws) in enumerate(zip(moment_values, weights))
         )
         return cls(n, pts)
@@ -148,16 +147,12 @@ class FixedPointData:
         return self.translated(-self.points[0].moment_value)
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    point: int | None
-    message: str
+class Violation(namedtuple("Violation", "rule point message")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def is_valid(self) -> bool:

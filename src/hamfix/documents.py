@@ -14,7 +14,7 @@ validation is the job of the ``check`` command.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Any
 
@@ -22,10 +22,8 @@ from .core import FixedPoint, FixedPointData
 from .errors import ParseError, StructureError
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    data: FixedPointData
-    meta: dict | None = None
+class InputDocument(namedtuple("InputDocument", "data meta", defaults=(None,))):
+    __slots__ = ()
 
 
 def _parse_phi(value: Any, path: str) -> Fraction:

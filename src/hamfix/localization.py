@@ -18,7 +18,7 @@ direct rational sum over arbitrary restrictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -38,18 +38,12 @@ def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class BatteryFailure:
-    a: int
-    b: int
-    value: Fraction
+class BatteryFailure(namedtuple("BatteryFailure", "a b value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BatteryReport:
-    n: int
-    failures: tuple[BatteryFailure, ...]
-    volume: Fraction
+class BatteryReport(namedtuple("BatteryReport", "n failures volume")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import FixedPoint, FixedPointData, rat
+from .core import FixedPoint, FixedPointData
 from .errors import SpecMismatch, StructureError
 
 
@@ -75,7 +75,7 @@ def expected_weights_cpn(phis: Sequence[int]) -> FixedPointData:
     P_i carries exactly the moment gaps {phi_j - phi_i : j != i}."""
     vals = _check_increasing_ints(phis)
     points = tuple(
-        FixedPoint(i, rat(p), tuple(q - p for j, q in enumerate(vals) if j != i))
+        FixedPoint(i, p, tuple(q - p for j, q in enumerate(vals) if j != i))
         for i, p in enumerate(vals)
     )
     return FixedPointData(len(vals) - 1, points)
@@ -101,5 +101,5 @@ def expected_weights_quadric(phis: Sequence[int]) -> FixedPointData:
     for i, p in enumerate(vals):
         ws = [q - p for j, q in enumerate(vals) if j != i and j != n - i]
         ws.append((vals[n - i] - p) // 2)
-        points.append(FixedPoint(i, rat(p), tuple(ws)))
+        points.append(FixedPoint(i, p, tuple(ws)))
     return FixedPointData(n, tuple(points))

@@ -14,44 +14,8 @@ weight at P_j is forced.  For the projective-space and quadric rings
 this ansatz is a theorem; for other rings it can genuinely fail (a
 6-dimensional example with ring Z[x,y]/(x^2-5y, y^2) has no sphere
 joining P_0 and P_2 at all), so results for those rings are a filter,
-never a uniqueness claim.
-
-The search runs in two stages, on integer product targets: r_i's
-numerator times the gap product, divided exactly by r_i's denominator
-(a point whose target is not an integer has no assignment).  First, at
-each point, a depth-first search over ascending divisors lists the
-assignments of its negative weights.  The product still to be placed
-can be at most the product of the remaining |gaps|, so each slot's scan
-starts at the least divisor that leaves the later slots enough reach and
-stops at the product itself, and the last slot takes what is left if it
-divides its gap.  Then the assignments are placed depth first from P_n
-down to P_1, keeping a running positive product and weight sum Gamma
-per point.  Placing P_i completes the positive product at P_{i-1}, which
-forces the last weight of P_i's assignment; Gamma_n and Gamma_{n-1} fix
-the line Gamma = -C*phi + d, which forces the weight sum of every later
-point.  So each point's assignments are indexed once by their last
-weight and their sum, and a placement looks up its one bucket (in list
-order) instead of scanning the list.  A placement is abandoned at the
-first failed test:
-
-* a positive product must divide its point's mirrored target while
-  points above are still being placed, and equal it once they are;
-* C = (Gamma_{n-1} - Gamma_n) / (phi_n - phi_{n-1}) must be positive
-  (condition D needs a constant positive c1 coefficient);
-* every later Gamma_i, and Gamma_0 after P_1, must lie on that line.
-
-Only a placement that passes all three is assembled, and it must still
-survive ``condition_d_offset`` and the full vanishing battery.  It
-passes ``validate`` by construction: the moment values are checked to
-be increasing integers up front, every weight is a divisor (so
-nonzero), and P_i gets exactly its i negative weights.  It passes
-condition D by construction too, since every Gamma_i lies on one line
-of positive C over distinct moment values, so ``condition_d_offset``
-never rejects; it stays as the authoritative check.  The search is
-single-threaded and bounded by the ``budget=`` argument (``--budget``
-on the command line), which caps the assignments found at one point
-and the product of the per-point counts; neither count depends on the
-bounds or the lookup.
+never a uniqueness claim.  ``enumerate_weight_systems`` describes the
+search and its budget.
 
 ``consistency_checks`` is the one verdict on whether data is genuine
 fixed point data; the CLI and ``infer_moment_values`` use it.
@@ -60,7 +24,7 @@ fixed point data; the CLI and ``infer_moment_values`` use it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
@@ -76,7 +40,7 @@ from .cohomology import (
     reference_chern,
     ring_coefficients,
 )
-from .core import FixedPointData, rat, validate
+from .core import FixedPointData, validate
 from .errors import (
     HamfixError,
     InconsistentGamma,
@@ -136,11 +100,13 @@ def _divisors(m: int) -> list[int]:
 
 
 def _negative_assignments(
-    gaps: Sequence[int], target: int, budget: int
+    gaps: Sequence[int], target: int, budget: int, divisors: dict[int, list[int]]
 ) -> list[tuple[int, ...]]:
     """All tuples (w_0..w_{k-1}) of negative integers with w_j dividing
     gaps[j] (both negative) and product equal to ``target``, in the
     order of a depth-first search over ascending divisors.
+    ``divisors`` maps a gap g to ``_divisors(-g)``; the caller passes
+    one dict to every call of a search, and missing gaps are added.
 
     The product still to be placed can be at most what the remaining
     slots reach (the product of their |gaps|), so a slot's scan starts at
@@ -152,7 +118,10 @@ def _negative_assignments(
     k = len(gaps)
     if target == 0 or (target < 0) != (k % 2 == 1):
         return []
-    choices = [_divisors(-g) for g in gaps[:-1]]
+    for g in gaps[:-1]:
+        if g not in divisors:
+            divisors[g] = _divisors(-g)
+    choices = [divisors[g] for g in gaps[:-1]]
     # reach[j]: the largest product slots j..k-1 can still make.
     reach = [1] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -203,17 +172,14 @@ def _assemble(
         weights[i].extend(assignment)
         for j, w in enumerate(assignment):
             weights[j].append(-w)
-    return FixedPointData.from_weights([rat(v) for v in phis], weights)
+    return FixedPointData.from_weights(phis, weights)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name passed detail")):
     """One named verdict and its reason: a consistency check or an
     implication of ``verify_equivalence``."""
 
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ()
 
 
 def consistency_checks(
@@ -264,19 +230,23 @@ def enumerate_weight_systems(
     an index built once per call, in list order.  A placement is cut as
     soon as a running positive product fails to divide its target, C <=
     0, or Gamma_0 leaves the line.  A full placement is assembled and
-    must still pass ``condition_d_offset`` and the vanishing battery;
-    ``validate`` and condition D hold by construction.  The result is
-    deduplicated and sorted by flattened weight lists.
+    must still pass ``condition_d_offset`` and the vanishing battery.
+    ``validate`` holds by construction (increasing integer moment
+    values, divisor weights, i negative weights at P_i), and so does
+    condition D (every Gamma_i on one line of positive C), so
+    ``condition_d_offset`` never rejects; it stays as the authoritative
+    check.  The result is deduplicated and sorted by flattened weight
+    lists.
 
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
 
-    ``budget`` (default 200000) caps both the assignments found at one
-    point and the number of combinations of them (the product of the
-    per-point counts); exceeding either raises SearchBudgetExceeded
-    rather than truncating.  Every point is searched before the
-    combinations are counted, and neither count depends on the bounds
-    or the lookup.
+    ``budget`` (default 200000; ``--budget`` on the command line) caps
+    both the assignments found at one point and the number of
+    combinations of them (the product of the per-point counts);
+    exceeding either raises SearchBudgetExceeded rather than truncating.
+    Every point is searched before the combinations are counted, and
+    neither count depends on the bounds or the lookup.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
@@ -298,11 +268,16 @@ def enumerate_weight_systems(
         q, rest = divmod(r[i].numerator * gap_product, r[i].denominator)
         return None if rest else q
 
+    # Moment values in arithmetic progression repeat a gap over many
+    # slots, so each distinct gap's divisors are listed once per call.
+    divisors: dict[int, list[int]] = {}
     per_point: list[list[tuple[int, ...]]] = []
     for i in range(1, n + 1):
         gaps = [vals[j] - vals[i] for j in range(i)]
         target = exact(i, prod(gaps))
-        per_point.append([] if target is None else _negative_assignments(gaps, target, budget))
+        per_point.append(
+            [] if target is None else _negative_assignments(gaps, target, budget, divisors)
+        )
 
     total = prod(len(a) for a in per_point)
     if total > budget:
@@ -376,11 +351,8 @@ def enumerate_weight_systems(
     return [unique[k] for k in sorted(unique)]
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    spec: RingSpec
-    lines: tuple[Check, ...]
-    system_count: int
+class EquivalenceReport(namedtuple("EquivalenceReport", "spec lines system_count")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -501,32 +473,21 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     return phis
 
 
-@dataclass(frozen=True)
-class SphereEdge:
+class SphereEdge(namedtuple("SphereEdge", "lower upper weight paired")):
     """A gradient-sphere edge between P_lower and P_upper carrying |w|;
     -w is a weight at the upper point and, if paired, +w at the lower."""
 
-    lower: int
-    upper: int
-    weight: int
-    paired: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AmbiguousWeight:
+class AmbiguousWeight(namedtuple("AmbiguousWeight", "point weight candidates")):
     """A weight left unmatched with no unique divisibility-feasible pole."""
 
-    point: int
-    weight: int
-    candidates: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GradientSphereGraph:
-    n: int
-    edges: tuple[SphereEdge, ...]
-    ambiguous: tuple[AmbiguousWeight, ...]
-    missing_pairs: tuple[tuple[int, int], ...]
+class GradientSphereGraph(namedtuple("GradientSphereGraph", "n edges ambiguous missing_pairs")):
+    __slots__ = ()
 
     def edges_between(self, lower: int, upper: int) -> list[SphereEdge]:
         return [e for e in self.edges if e.lower == lower and e.upper == upper]

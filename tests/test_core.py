@@ -48,6 +48,20 @@ def test_structure_errors():
         FixedPointData.from_weights([0, 1], [(1.5,), (-1,)])  # non-integer weight
 
 
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        (True, "bool is not a rational value"),
+        (1.5, "cannot interpret 1.5 as an exact rational"),
+        (None, "cannot interpret None as an exact rational"),
+    ],
+)
+def test_from_weights_refuses_an_inexact_moment_value(phi, message):
+    # FixedPoint is the one place a moment value is coerced.
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        FixedPointData.from_weights([0, phi], [(1,), (-1,)])
+
+
 def test_validate_cpn_model_is_clean():
     report = validate(cpn_model((0, 1, 2)))
     assert report.is_valid

@@ -1,0 +1,190 @@
+"""The package's records are named tuples: their text form, equality,
+hashing, immutability and keyword construction, and that a copy, a
+pickle round trip or ``_replace`` of a validated record is validated
+again."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from hamfix import (
+    AmbiguousWeight,
+    BatteryFailure,
+    BatteryReport,
+    Check,
+    ChernData,
+    EquivalenceReport,
+    FixedPoint,
+    FixedPointData,
+    GradientSphereGraph,
+    InputDocument,
+    RingCoefficients,
+    RingKind,
+    RingSpec,
+    SpecMismatch,
+    SphereEdge,
+    StructureError,
+    ValidationReport,
+    Violation,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+P0 = FixedPoint(0, 0, (1,))
+P1 = FixedPoint(1, 1, (-1,))
+P0_TEXT = "FixedPoint(index=0, moment_value=Fraction(0, 1), weights=(1,))"
+P1_TEXT = "FixedPoint(index=1, moment_value=Fraction(1, 1), weights=(-1,))"
+DATA_TEXT = f"FixedPointData(n=1, points=({P0_TEXT}, {P1_TEXT}))"
+CHECK = Check("validate", True, "")
+CHECK_TEXT = "Check(name='validate', passed=True, detail='')"
+EDGE = SphereEdge(0, 1, 1, True)
+EDGE_TEXT = "SphereEdge(lower=0, upper=1, weight=1, paired=True)"
+
+# (record class, keyword arguments, repr of the record they build)
+RECORDS = [
+    (
+        FixedPoint,
+        {"index": 1, "moment_value": "1/2", "weights": (3, -1)},
+        "FixedPoint(index=1, moment_value=Fraction(1, 2), weights=(-1, 3))",
+    ),
+    (FixedPointData, {"n": 1, "points": [P0, P1]}, DATA_TEXT),
+    (
+        Violation,
+        {"rule": "nonzero-weights", "point": 0, "message": "zero weight at point 0"},
+        "Violation(rule='nonzero-weights', point=0, message='zero weight at point 0')",
+    ),
+    (
+        ValidationReport,
+        {"violations": (Violation("monotone-moments", 1, "m"),)},
+        "ValidationReport(violations=(Violation(rule='monotone-moments', point=1, message='m'),))",
+    ),
+    (
+        RingSpec,
+        {"kind": RingKind.OTHER, "n": 2, "r": (1, 1, "1/2")},
+        "RingSpec(kind=<RingKind.OTHER: 'Other'>, n=2,"
+        " r=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 2)))",
+    ),
+    (
+        RingCoefficients,
+        {"r": (Fraction(1), Fraction(1))},
+        "RingCoefficients(r=(Fraction(1, 1), Fraction(1, 1)))",
+    ),
+    (
+        ChernData,
+        {"sigma": ((1, 1), (1, -1)), "gamma": (Fraction(2),)},
+        "ChernData(sigma=((1, 1), (1, -1)), gamma=(Fraction(2, 1),))",
+    ),
+    (
+        InputDocument,
+        {"data": FixedPointData(1, (P0, P1)), "meta": None},
+        f"InputDocument(data={DATA_TEXT}, meta=None)",
+    ),
+    (
+        BatteryFailure,
+        {"a": 0, "b": 1, "value": Fraction(1, 2)},
+        "BatteryFailure(a=0, b=1, value=Fraction(1, 2))",
+    ),
+    (
+        BatteryReport,
+        {"n": 2, "failures": (), "volume": Fraction(2)},
+        "BatteryReport(n=2, failures=(), volume=Fraction(2, 1))",
+    ),
+    (Check, {"name": "validate", "passed": True, "detail": ""}, CHECK_TEXT),
+    (
+        EquivalenceReport,
+        {"spec": RingSpec(RingKind.PROJECTIVE_SPACE, 1), "lines": (CHECK,), "system_count": 1},
+        "EquivalenceReport(spec=RingSpec(kind=<RingKind.PROJECTIVE_SPACE: 'ProjectiveSpace'>,"
+        f" n=1, r=None), lines=({CHECK_TEXT},), system_count=1)",
+    ),
+    (SphereEdge, {"lower": 0, "upper": 1, "weight": 1, "paired": True}, EDGE_TEXT),
+    (
+        AmbiguousWeight,
+        {"point": 1, "weight": -2, "candidates": (0,)},
+        "AmbiguousWeight(point=1, weight=-2, candidates=(0,))",
+    ),
+    (
+        GradientSphereGraph,
+        {"n": 1, "edges": (EDGE,), "ambiguous": (), "missing_pairs": ()},
+        f"GradientSphereGraph(n=1, edges=({EDGE_TEXT},), ambiguous=(), missing_pairs=())",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+def test_record_text_equality_hash_and_immutability(cls, fields, text):
+    record = cls(**fields)
+    assert repr(record) == text
+    again = cls(*fields.values())
+    assert again == record and hash(again) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(fields)), None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_records_are_named_tuples():
+    index, phi, weights = P1
+    assert (index, phi, weights) == (1, Fraction(1), (-1,))
+    assert P0 == (0, Fraction(0), (1,))
+    assert sorted([P1, P0]) == [P0, P1]
+    assert P1._asdict() == {"index": 1, "moment_value": Fraction(1), "weights": (-1,)}
+
+
+@pytest.mark.parametrize(
+    "raw, built",
+    [
+        (tuple.__new__(FixedPoint, (0, 1, (2, -1))), FixedPoint(0, Fraction(1), (-1, 2))),
+        (tuple.__new__(FixedPointData, (1, [P0, P1])), FixedPointData(1, (P0, P1))),
+        (
+            tuple.__new__(RingSpec, (RingKind.OTHER, 1, [1, 1])),
+            RingSpec(RingKind.OTHER, 1, (Fraction(1), Fraction(1))),
+        ),
+    ],
+)
+def test_copy_and_pickle_build_through_the_checks(raw, built):
+    # The raw tuple skipped construction; its copies must not.
+    for twin in (copy.copy(raw), pickle.loads(pickle.dumps(raw))):
+        assert type(twin) is type(built)
+        assert twin == built and tuple(map(type, twin)) == tuple(map(type, built))
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        (tuple.__new__(FixedPoint, (0, 1.5, (1,))), TypeError),
+        (tuple.__new__(FixedPoint, (0, 1, (True,))), StructureError),
+        (tuple.__new__(FixedPointData, (2, (P0, P1))), StructureError),
+        (tuple.__new__(RingSpec, (RingKind.QUADRIC, 2, None)), SpecMismatch),
+    ],
+)
+def test_copy_and_pickle_refuse_bad_values(raw, error):
+    with pytest.raises(error):
+        copy.copy(raw)
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(raw))
+
+
+def test_replace_builds_through_the_checks():
+    assert P1._replace(weights=(2, -3)).weights == (-3, 2)
+    with pytest.raises(TypeError):
+        P1._replace(moment_value=0.5)
+    with pytest.raises(StructureError):
+        FixedPointData(1, (P0, P1))._replace(n=2)
+    with pytest.raises(SpecMismatch):
+        RingSpec(RingKind.PROJECTIVE_SPACE, 3)._replace(kind=RingKind.QUADRIC, n=2)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # pytest itself imports dataclasses, so ask a fresh interpreter.
+    code = "import sys, hamfix.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"

@@ -236,7 +236,7 @@ def test_enumerate_budget_caps_the_combinations_exactly():
     phis = [-3, -1, 1, 3]
     targets = lambda_minus_targets(spec, phis)
     counts = [
-        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], int(targets[i]), 100))
+        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], int(targets[i]), 100, {}))
         for i in range(1, 4)
     ]
     assert counts == [1, 2, 3]
@@ -284,7 +284,7 @@ def _int_target_search(gaps, target, budget):
     # The search takes an int target; a fractional one has no assignment.
     if target.denominator != 1:
         return []
-    return _negative_assignments(gaps, target.numerator, budget)
+    return _negative_assignments(gaps, target.numerator, budget, {})
 
 
 def _outcome(search, gaps, target, budget):
@@ -337,7 +337,7 @@ def test_bounded_assignments_match_the_unbounded_search(problem):
     ],
 )
 def test_bounded_assignments_edge_cases(gaps, target, expected):
-    assert _negative_assignments(gaps, target, 10) == expected
+    assert _negative_assignments(gaps, target, 10, {}) == expected
     assert _unbounded_negative_assignments(gaps, Fraction(target), 10) == expected
 
 
@@ -345,10 +345,10 @@ def test_bounded_assignments_budget_counts_every_result():
     over = "^more than {} weight assignments at one point$"
     for gaps, target in (((), 1), ((-6, -9), 18)):
         with pytest.raises(SearchBudgetExceeded, match=over.format(0)):
-            _negative_assignments(gaps, target, 0)
-    assert len(_negative_assignments((-6, -9), 18, 2)) == 2
+            _negative_assignments(gaps, target, 0, {})
+    assert len(_negative_assignments((-6, -9), 18, 2, {})) == 2
     with pytest.raises(SearchBudgetExceeded, match=over.format(1)):
-        _negative_assignments((-6, -9), 18, 1)
+        _negative_assignments((-6, -9), 18, 1, {})
 
 
 # --- placement by lookup -----------------------------------------------------
