@@ -69,8 +69,6 @@ from .solver import (
     enumerate_weight_systems,
     gradient_graph,
     infer_moment_values,
-    lambda_minus_targets,
-    positive_targets,
     verify_equivalence,
 )
 

@@ -53,6 +53,7 @@ class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
 
     def __new__(cls, index: int, moment_value: RatLike, weights: Iterable[int]):
         moment_value = rat(moment_value)
+        weights = tuple(weights)  # a one-shot iterable is read once
         for w in weights:
             if isinstance(w, bool) or not isinstance(w, int):
                 raise StructureError(f"weight {w!r} at point {index} is not an integer")

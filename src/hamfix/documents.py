@@ -133,5 +133,6 @@ def load_document(path: str) -> InputDocument:
 
 
 def save_document(doc: InputDocument, path: str):
+    text = serialize_document(doc)  # first: open(path, "w") empties the file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_document(doc))
+        handle.write(text)

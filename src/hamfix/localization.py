@@ -11,9 +11,11 @@ identities is a cheap, strong consistency filter for candidate data;
 the top power of the symplectic class recovers the symplectic volume,
 which must be positive.
 
-The battery evaluates each monomial sum as one integer power sum over
-a common denominator (see ``vanishing_battery``); ``abbv_sum`` is the
-direct rational sum over arbitrary restrictions.
+On the c1 line (condition D: Gamma_P = -C * phi(P) + d) the first Chern
+class is C * [omega] + d * t, so the battery reduces exactly to its row
+of powers of omega and costs O(n^2), not O(n^3) (see
+``vanishing_battery``).  ``abbv_sum`` is the direct rational sum over
+arbitrary restrictions.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     With L = lcm(Lambda_P), q the lcm of the moment value denominators,
     m_P = L / Lambda_P and u_P = -phi_P * q (all integers), each sum is
     (sum_P m_P Gamma_P^a u_P^b) / (L q^b), so it is exact in integers.
+
+    The row s_b = sum_P m_P u_P^b (b = 0..n) comes first.  If Gamma is
+    affine in u (any slope; tested in integers), Gamma_P^a u_P^b is a
+    polynomial in u_P of degree a + b < n, so every sum is a rational
+    combination of s_0..s_{n-1}: when those vanish, so does every one.
+    Otherwise every monomial is evaluated, so the report is the same.
     """
     n = data.n
     lambdas = [p.lambda_all for p in data.points]
@@ -71,15 +79,24 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     u = [-p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
     gs = [p.gamma for p in data.points]
 
-    failures = []
+    row = [sum(m)]  # s_b = sum_P m_P * u_P^b
+    terms = m
+    for _ in range(n):
+        terms = [t * x for t, x in zip(terms, u)]
+        row.append(sum(terms))
+    volume = Fraction(row[n], big_l * q**n)
+    du, dg = u[1] - u[0], gs[1] - gs[0]
+    if du and not any(row[:n]) and all((g - gs[0]) * du == dg * (x - u[0]) for g, x in zip(gs, u)):
+        return BatteryReport(n, (), volume)
+
+    failures = [BatteryFailure(0, b, Fraction(s, big_l * q**b)) for b, s in enumerate(row[:n]) if s]
     c1_power = m  # m_P * Gamma_P^a
-    for a in range(n):
+    for a in range(1, n):
+        c1_power = [t * g for t, g in zip(c1_power, gs)]
         terms = c1_power  # m_P * Gamma_P^a * u_P^b
         for b in range(n - a):
             total = sum(terms)
             if total != 0:
                 failures.append(BatteryFailure(a, b, Fraction(total, big_l * q**b)))
             terms = [t * x for t, x in zip(terms, u)]
-        c1_power = [t * g for t, g in zip(c1_power, gs)]
-    volume = Fraction(sum(mp * x**n for mp, x in zip(m, u)), big_l * q**n)
     return BatteryReport(n, tuple(failures), volume)

@@ -66,26 +66,6 @@ def _checked_phis(spec: RingSpec, phis: Sequence[int]) -> list[int]:
     return _check_increasing_ints(phis)
 
 
-def lambda_minus_targets(spec: RingSpec, phis: Sequence[int]) -> list[Fraction]:
-    """Required product of the negative weights at each point:
-    r_i * prod_{j<i} (phi_j - phi_i)."""
-    vals = _checked_phis(spec, phis)
-    r = spec.r_sequence()
-    return [r[i] * prod(vals[j] - vals[i] for j in range(i)) for i in range(spec.n + 1)]
-
-
-def positive_targets(spec: RingSpec, phis: Sequence[int]) -> list[Fraction]:
-    """Required product of the positive weights at each point.
-
-    Mirror of ``lambda_minus_targets`` under phi -> -phi, which reverses
-    the point order:  r_{n-i} * prod_{j>i} (phi_j - phi_i).
-    """
-    vals = _checked_phis(spec, phis)
-    r = spec.r_sequence()
-    n = spec.n
-    return [r[n - i] * prod(vals[j] - vals[i] for j in range(i + 1, n + 1)) for i in range(n + 1)]
-
-
 def _divisors(m: int) -> list[int]:
     assert m > 0
     small, large = [], []

@@ -37,6 +37,13 @@ def test_fixed_point_sorts_weights():
     assert p.negative_count == 1
 
 
+def test_fixed_point_reads_a_one_shot_iterable_once():
+    assert FixedPoint(0, 0, iter([2, -1])).weights == (-1, 2)
+    assert FixedPoint(0, 0, (w for w in (3, 1))).weights == (1, 3)
+    with pytest.raises(StructureError, match="weight 1.5 at point 4"):
+        FixedPoint(4, 0, iter([1, 1.5]))
+
+
 def test_structure_errors():
     with pytest.raises(StructureError):
         FixedPointData(0, (FixedPoint(0, 0, ()),))

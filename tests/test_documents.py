@@ -9,7 +9,9 @@ from hamfix import (
     ParseError,
     cpn_model,
     parse_document,
+    load_document,
     quadric_model,
+    save_document,
     serialize_document,
     validate,
 )
@@ -148,6 +150,21 @@ def test_meta_survives_round_trip():
     doc = InputDocument(cpn_model((0, 1)), {"name": "sphere", "source": "unit test"})
     again = parse_document(serialize_document(doc))
     assert again.meta == {"name": "sphere", "source": "unit test"}
+
+
+def test_save_and_load_round_trip(tmp_path):
+    path = tmp_path / "cp2.json"
+    save_document(InputDocument(cpn_model((0, 1, 2))), str(path))
+    assert path.read_text(encoding="utf-8") == CANONICAL_CP2
+    assert load_document(str(path)).data == cpn_model((0, 1, 2))
+
+
+def test_save_keeps_the_old_file_when_serializing_fails(tmp_path):
+    path = tmp_path / "kept.json"
+    path.write_text(CANONICAL_CP2, encoding="utf-8")
+    with pytest.raises(TypeError):
+        save_document(InputDocument(cpn_model((0, 1)), {"k": {1, 2}}), str(path))
+    assert path.read_text(encoding="utf-8") == CANONICAL_CP2
 
 
 @given(cpn_b_lists())

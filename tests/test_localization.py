@@ -11,9 +11,12 @@ from hamfix import (
     FixedPointData,
     StructureError,
     abbv_sum,
+    c1_coefficient,
     chern_coefficients,
+    condition_d_offset,
     cpn_model,
     quadric_model,
+    validate,
     vanishing_battery,
 )
 
@@ -139,28 +142,52 @@ def test_battery_failure_invariant_under_translation(c):
     assert not vanishing_battery(bad.translated(c)).passed
 
 
+def test_battery_fails_on_the_c1_line():
+    # Gamma = 3, 0, -3 lies on the line -3 * phi + 3, so validate, c1 and
+    # condition D pass, yet two vanishing sums do not vanish.
+    data = FixedPointData.from_weights([0, 1, 2], [[1, 2], [-2, 2], [-2, -1]])
+    assert validate(data).is_valid
+    assert (c1_coefficient(data), condition_d_offset(data)) == (3, 3)
+    failures = (BatteryFailure(0, 0, Fraction(3, 4)), BatteryFailure(0, 1, Fraction(-3, 4)))
+    assert vanishing_battery(data) == BatteryReport(2, failures, Fraction(7, 4))
+    assert vanishing_battery(data) == reference_battery(data)
+
+
 @st.composite
 def battery_data(draw):
-    """Models (CP^n, n <= 6, and Q^3, Q^5), translated by a fraction and
-    sometimes with one weight replaced by another nonzero integer."""
+    """Models (CP^n, n <= 6, and Q^3, Q^5), translated by a fraction, and
+    either kept, or changed at one point: one weight replaced by another
+    nonzero integer (Gamma leaves the c1 line); t moved from one weight
+    to another (Gamma stays on the line, the battery fails); or two
+    weights negated (Lambda and so the omega row stay, Gamma leaves the
+    line)."""
     if draw(st.booleans()):
         data = cpn_model(draw(cpn_b_lists()))
     else:
         data = quadric_model(draw(quadric_b_lists()))
     data = data.translated(Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6))))
-    if draw(st.booleans()):
-        i = draw(st.integers(0, data.n))
+    change = draw(st.sampled_from(["none", "replace", "move", "negate"]))
+    if change == "none" or (change != "replace" and data.n < 2):
+        return data
+    i = draw(st.integers(0, data.n))
+    weights = list(data.points[i].weights)
+    if change == "replace":
         k = draw(st.integers(0, data.n - 1))
-        w = draw(st.integers(-9, 9).filter(lambda v: v != 0))
-        points = list(data.points)
-        weights = list(points[i].weights)
-        weights[k] = w
-        points[i] = FixedPoint(i, points[i].moment_value, tuple(weights))
-        data = FixedPointData(data.n, tuple(points))
-    return data
+        weights[k] = draw(st.integers(-9, 9).filter(lambda v: v != 0))
+    else:
+        k, l = draw(st.lists(st.integers(0, data.n - 1), min_size=2, max_size=2, unique=True))
+        if change == "negate":
+            weights[k], weights[l] = -weights[k], -weights[l]
+        else:
+            t = draw(st.integers(-9, 9).filter(lambda v: v and weights[k] + v and weights[l] - v))
+            weights[k] += t
+            weights[l] -= t
+    points = list(data.points)
+    points[i] = FixedPoint(i, points[i].moment_value, tuple(weights))
+    return FixedPointData(data.n, tuple(points))
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(battery_data())
 def test_battery_equals_abbv_sum_reference(data):
     assert vanishing_battery(data) == reference_battery(data)

@@ -45,10 +45,8 @@ PUBLIC_NAMES = [
     "expected_weights_quadric",
     "gradient_graph",
     "infer_moment_values",
-    "lambda_minus_targets",
     "load_document",
     "parse_document",
-    "positive_targets",
     "quadric_model",
     "rat",
     "reference_chern",

@@ -25,20 +25,43 @@ from hamfix import (
     enumerate_weight_systems,
     gradient_graph,
     infer_moment_values,
-    lambda_minus_targets,
-    positive_targets,
     quadric_model,
     validate,
     vanishing_battery,
     verify_equivalence,
 )
 from hamfix.errors import HamfixError
-from hamfix.solver import DEFAULT_BUDGET, _assemble, _divisors, _negative_assignments
+from hamfix.solver import DEFAULT_BUDGET, _assemble, _checked_phis, _divisors, _negative_assignments
 
 from conftest import cpn_b_lists, outcome, quadric_b_lists, read_path_data
 
 CASE1_WEIGHTS = [(1, 2, 3), (-1, 1, 4), (-1, -4, 1), (-1, -2, -3)]
 CASE2_WEIGHTS = [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)]
+
+
+# --- product targets ---------------------------------------------------------
+# The solver computes its integer targets inline; these are the rational
+# formulas it must agree with.
+
+
+def lambda_minus_targets(spec, phis):
+    """Required product of the negative weights at each point:
+    r_i * prod_{j<i} (phi_j - phi_i)."""
+    vals = _checked_phis(spec, phis)
+    r = spec.r_sequence()
+    return [r[i] * math.prod(vals[j] - vals[i] for j in range(i)) for i in range(spec.n + 1)]
+
+
+def positive_targets(spec, phis):
+    """Required product of the positive weights at each point, the mirror
+    of ``lambda_minus_targets`` under phi -> -phi, which reverses the
+    point order:  r_{n-i} * prod_{j>i} (phi_j - phi_i)."""
+    vals = _checked_phis(spec, phis)
+    r = spec.r_sequence()
+    n = spec.n
+    return [
+        r[n - i] * math.prod(vals[j] - vals[i] for j in range(i + 1, n + 1)) for i in range(n + 1)
+    ]
 
 
 # --- independent exhaustive oracle ------------------------------------------
