@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm, prod
 
-from .core import FixedPointData
+from .core import FixedPointData, rat
 from .errors import HamfixError, NonConstantC1, NonPositiveC1, SpecMismatch
 
 
@@ -44,7 +44,7 @@ class RingKind(enum.Enum):
 
 class RingSpec(namedtuple("RingSpec", "kind n r")):
     """A target cohomology ring: projective space, odd quadric, or a bare
-    r-sequence for anything else."""
+    r-sequence for anything else, its entries coerced with ``rat``."""
 
     __slots__ = ()
 
@@ -56,7 +56,7 @@ class RingSpec(namedtuple("RingSpec", "kind n r")):
         if kind is RingKind.OTHER:
             if r is None or len(r) != n + 1:
                 raise SpecMismatch("Other ring needs an explicit r-sequence of length n+1")
-            r = tuple(Fraction(v) for v in r)
+            r = tuple(rat(v) for v in r)
         elif r is not None:
             raise SpecMismatch(f"{kind} ring takes no explicit r-sequence")
         return super().__new__(cls, kind, n, r)

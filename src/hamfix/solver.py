@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 from .cohomology import (
     RingKind,
     RingSpec,
-    _affine_fit,
     c1_coefficient,
     chern_coefficients,
     classify_ring,
@@ -179,7 +178,7 @@ def consistency_checks(
             checks.append(Check(name, False, "not run: validation failed"))
         return tuple(checks)
     try:
-        c, d = _affine_fit(data)
+        c, d = c1_coefficient(data), condition_d_offset(data)
         checks += [Check("c1-coefficient", True, f"C = {c}"), Check("condition-d", True, f"d = {d}")]
     except HamfixError as exc:
         checks += [Check(name, False, str(exc)) for name in ("c1-coefficient", "condition-d")]
@@ -209,14 +208,12 @@ def enumerate_weight_systems(
     Gamma_n and Gamma_{n-1} fix; so each placement reads one bucket of
     an index built once per call, in list order.  A placement is cut as
     soon as a running positive product fails to divide its target, C <=
-    0, or Gamma_0 leaves the line.  A full placement is assembled and
-    must still pass ``condition_d_offset`` and the vanishing battery.
-    ``validate`` holds by construction (increasing integer moment
-    values, divisor weights, i negative weights at P_i), and so does
-    condition D (every Gamma_i on one line of positive C), so
-    ``condition_d_offset`` never rejects; it stays as the authoritative
-    check.  The result is deduplicated and sorted by flattened weight
-    lists.
+    0, or Gamma_0 leaves the line.  A full placement so passes
+    ``validate`` (increasing integer moment values, divisor weights, i
+    negative weights at P_i) and condition D (every Gamma_i on one line
+    of positive C) by construction, and the vanishing battery is the one
+    check left after assembly.  The result is deduplicated and sorted by
+    flattened weight lists.
 
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
@@ -224,9 +221,10 @@ def enumerate_weight_systems(
     ``budget`` (default 200000; ``--budget`` on the command line) caps
     both the assignments found at one point and the number of
     combinations of them (the product of the per-point counts);
-    exceeding either raises SearchBudgetExceeded rather than truncating.
-    Every point is searched before the combinations are counted, and
-    neither count depends on the bounds or the lookup.
+    exceeding either raises SearchBudgetExceeded rather than truncating,
+    as does a search deeper than the recursion limit.  Every point is
+    searched before the combinations are counted, and neither count
+    depends on the bounds or the lookup.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
@@ -248,86 +246,84 @@ def enumerate_weight_systems(
         q, rest = divmod(r[i].numerator * gap_product, r[i].denominator)
         return None if rest else q
 
-    # Moment values in arithmetic progression repeat a gap over many
-    # slots, so each distinct gap's divisors are listed once per call.
-    divisors: dict[int, list[int]] = {}
-    per_point: list[list[tuple[int, ...]]] = []
-    for i in range(1, n + 1):
-        gaps = [vals[j] - vals[i] for j in range(i)]
-        target = exact(i, prod(gaps))
-        per_point.append(
-            [] if target is None else _negative_assignments(gaps, target, budget, divisors)
-        )
+    try:
+        # Moment values in arithmetic progression repeat a gap over many
+        # slots, so each distinct gap's divisors are listed once per call.
+        divisors: dict[int, list[int]] = {}
+        per_point: list[list[tuple[int, ...]]] = []
+        for i in range(1, n + 1):
+            gaps = [vals[j] - vals[i] for j in range(i)]
+            target = exact(i, prod(gaps))
+            per_point.append(
+                [] if target is None else _negative_assignments(gaps, target, budget, divisors)
+            )
 
-    total = prod(len(a) for a in per_point)
-    if total > budget:
-        raise SearchBudgetExceeded(
-            f"{total} candidate systems exceed the budget of {budget}"
-        )
+        total = prod(len(a) for a in per_point)
+        if total > budget:
+            raise SearchBudgetExceeded(
+                f"{total} candidate systems exceed the budget of {budget}"
+            )
 
-    # A positive product is a product of divisors, so an integer; with
-    # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
-    pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
-    if None in pos:
-        return []
-    top_gap = vals[n] - vals[n - 1]
+        # A positive product is a product of divisors, so an integer; with
+        # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
+        pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
+        if None in pos:
+            return []
+        top_gap = vals[n] - vals[n - 1]
 
-    def on_line(gammas: list[int], k: int) -> bool:
-        # Gamma_n and Gamma_{n-1} fix C = (Gamma_{n-1} - Gamma_n) / top_gap,
-        # which must be positive; Gamma_k must then lie on their line.
-        rise = gammas[n - 1] - gammas[n]
-        if k == n - 1:
-            return rise > 0
-        return (gammas[k] - gammas[n]) * top_gap == rise * (vals[n] - vals[k])
+        def on_line(gammas: list[int], k: int) -> bool:
+            # Gamma_n and Gamma_{n-1} fix C = (Gamma_{n-1} - Gamma_n) / top_gap,
+            # which must be positive; Gamma_k must then lie on their line.
+            rise = gammas[n - 1] - gammas[n]
+            if k == n - 1:
+                return rise > 0
+            return (gammas[k] - gammas[n]) * top_gap == rise * (vals[n] - vals[k])
 
-    # Key each assignment by what a placement forces: its last weight,
-    # and its sum too below P_{n-1}.  A bucket keeps list order.
-    buckets: list[dict] = []
-    for i, assignments in enumerate(per_point, start=1):
-        by_key: dict = {}
-        for a in assignments:
-            by_key.setdefault((a[-1], sum(a)) if i <= n - 2 else a[-1], []).append(a)
-        buckets.append(by_key)
+        # Key each assignment by what a placement forces: its last weight,
+        # and its sum too below P_{n-1}.  A bucket keeps list order.
+        buckets: list[dict] = []
+        for i, assignments in enumerate(per_point, start=1):
+            by_key: dict = {}
+            for a in assignments:
+                by_key.setdefault((a[-1], sum(a)) if i <= n - 2 else a[-1], []).append(a)
+            buckets.append(by_key)
 
-    unique: dict[tuple, FixedPointData] = {}
-    placed: list[tuple[int, ...]] = [()] * n
+        unique: dict[tuple, FixedPointData] = {}
+        placed: list[tuple[int, ...]] = [()] * n
 
-    def place(i: int, products: list[int], gammas: list[int]):
-        # P_n..P_{i+1} are placed; products[j] (j < i) and gammas[j] are
-        # the positive product and weight sum at P_j so far.
-        if i == 0:
-            data = _assemble(vals, placed, n)
-            try:
-                condition_d_offset(data)
-            except HamfixError:
+        def place(i: int, products: list[int], gammas: list[int]):
+            # P_n..P_{i+1} are placed; products[j] (j < i) and gammas[j] are
+            # the positive product and weight sum at P_j so far.
+            if i == 0:
+                data = _assemble(vals, placed, n)
+                if vanishing_battery(data).passed:
+                    unique.setdefault(tuple(p.weights for p in data.points), data)
                 return
-            if vanishing_battery(data).passed:
-                unique.setdefault(tuple(p.weights for p in data.points), data)
-            return
-        last, rest = divmod(pos[i - 1], products[i - 1])
-        if rest:
-            return
-        key = -last
-        if i <= n - 2:
-            # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
-            # C = (Gamma_{n-1} - Gamma_n) / top_gap.
-            offset, rest = divmod((gammas[n - 1] - gammas[n]) * (vals[n] - vals[i]), top_gap)
-            if rest:
-                return
-            key = (key, gammas[n] + offset - gammas[i])
-        for assignment in buckets[i - 1].get(key, ()):
-            # P_j (j < i) gains the positive weight -w.
-            below = [p * -w for p, w in zip(products, assignment)]
-            if any(pos[j] % below[j] for j in range(i - 1)):
-                continue
-            sums = [g - w for g, w in zip(gammas, assignment)]
-            sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
-            if (i == n - 1 and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
-                continue
-            placed[i - 1] = assignment
-            place(i - 1, below, sums)
+            # Exact: placing P_{i+1} tested this division (at P_n it is by 1).
+            key = -(pos[i - 1] // products[i - 1])
+            if i <= n - 2:
+                # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
+                # C = (Gamma_{n-1} - Gamma_n) / top_gap.
+                offset, rest = divmod((gammas[n - 1] - gammas[n]) * (vals[n] - vals[i]), top_gap)
+                if rest:
+                    return
+                key = (key, gammas[n] + offset - gammas[i])
+            for assignment in buckets[i - 1].get(key, ()):
+                # P_j (j < i) gains the positive weight -w.
+                below = [p * -w for p, w in zip(products, assignment)]
+                if any(pos[j] % below[j] for j in range(i - 1)):
+                    continue
+                sums = [g - w for g, w in zip(gammas, assignment)]
+                sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
+                if (i == n - 1 and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
+                    continue
+                placed[i - 1] = assignment
+                place(i - 1, below, sums)
 
-    place(n, [1] * n, [0] * (n + 1))
+        place(n, [1] * n, [0] * (n + 1))
+    except RecursionError:
+        # place and _negative_assignments recurse once per point or slot.
+        raise SearchBudgetExceeded(f"n = {n} is too deep for the recursive search") from None
     return [unique[k] for k in sorted(unique)]
 
 
@@ -355,11 +351,10 @@ def verify_equivalence(
     """
     if spec.kind is RingKind.OTHER:
         raise SpecMismatch("equivalence verification is defined for the model rings only")
-    vals = _checked_phis(spec, phis)
-    systems = enumerate_weight_systems(spec, vals, budget=budget)
+    systems = enumerate_weight_systems(spec, phis, budget=budget)
     reference = reference_chern(spec.kind, spec.n)
     try:
-        standard, unbuilt = _EXPECTED_WEIGHTS[spec.kind](vals), ""
+        standard, unbuilt = _EXPECTED_WEIGHTS[spec.kind](phis), ""
     except HamfixError as exc:
         standard, unbuilt = None, f"standard weight system not constructible: {exc}"
 

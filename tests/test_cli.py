@@ -4,12 +4,13 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hamfix import FixedPointData, InputDocument, cpn_model, quadric_model, serialize_document
-from hamfix.cli import _build_parser, main
+from hamfix.cli import _build_parser, _chern_polynomial, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -213,6 +214,16 @@ def test_chern_line(tmp_path, capsys):
     assert "sigma P_2: 1, -3, 2" in out
 
 
+def test_chern_polynomial_skips_zero_and_unit_coefficients():
+    assert _chern_polynomial((1, 0, Fraction(-1, 2), -1)) == "1 + x - (1/2)x^3 - x^4"
+
+
+def test_chern_line_of_the_exceptional_case(tmp_path, capsys):
+    data = FixedPointData.from_weights([0, 1, 11, 12], [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)])
+    assert main(["chern", write_model(tmp_path, data)]) == 0
+    assert "c = 1 + x + (12/11)x^2 + (2/11)x^3\n" in capsys.readouterr().out
+
+
 def test_model_cpn_round_trips_through_check(tmp_path, capsys):
     out_path = tmp_path / "model.json"
     assert main(["model", "cpn", "--b", "0,1,2", "--out", str(out_path)]) == 0
@@ -303,6 +314,19 @@ def test_model_ring_refuses_r(capsys):
 
 def test_solve_budget_exit_3(capsys):
     assert main(["solve", "--ring", "cpn", "--phi", "0,1,2", "--budget", "0"]) == 3
+
+
+def test_search_too_deep_for_the_recursion_limit_exits_3(capsys):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        for command in ("solve", "verify"):
+            assert main([command, "--ring", "cpn", "--phi", ",".join(map(str, range(201)))]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: n = 200 is too deep for the recursive search\n"
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_budget_env_var(capsys, monkeypatch):

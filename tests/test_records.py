@@ -180,6 +180,17 @@ def test_replace_builds_through_the_checks():
         RingSpec(RingKind.PROJECTIVE_SPACE, 3)._replace(kind=RingKind.QUADRIC, n=2)
 
 
+def test_ring_spec_coerces_r_entries_exactly():
+    # Fraction(0.2) is not 1/5: a float entry once made the CASE1 search
+    # at phi = 0, 1, 5, 6 come back silently empty.
+    spec = RingSpec(RingKind.OTHER, 3, (1, 1, "1/5", Fraction(1, 5)))
+    assert spec.r == (1, 1, Fraction(1, 5), Fraction(1, 5))
+    assert set(map(type, spec.r)) == {Fraction}
+    for bad in (0.2, True):
+        with pytest.raises(TypeError):
+            RingSpec(RingKind.OTHER, 3, (1, 1, bad, Fraction(1, 5)))
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # pytest itself imports dataclasses, so ask a fresh interpreter.
     code = "import sys, hamfix.cli; print('dataclasses' in sys.modules)"

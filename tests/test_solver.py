@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -250,6 +251,18 @@ def test_enumerate_budget_exceeded():
     spec = RingSpec(RingKind.PROJECTIVE_SPACE, 2)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_weight_systems(spec, [0, 1, 2], budget=0)
+
+
+def test_enumerate_too_deep_for_the_recursion_limit_is_a_budget_error():
+    # The searches recurse once per point or slot; running out of stack
+    # must not escape as a RecursionError.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        with pytest.raises(SearchBudgetExceeded, match=r"^n = 200 is too deep"):
+            enumerate_weight_systems(RingSpec(RingKind.PROJECTIVE_SPACE, 200), range(201))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_enumerate_budget_caps_the_combinations_exactly():

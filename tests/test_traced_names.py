@@ -44,4 +44,6 @@ def test_traced_solver_reaches_its_check_chain(tracing):
     top = [i for i, s in enumerate(spans) if s.name == "enumerate_weight_systems"]
     assert len(top) == 1
     under = {s.name for s in spans if s.parent == top[0]}
-    assert {"from_weights", "condition_d_offset", "vanishing_battery"} <= under
+    # Placement guarantees condition D, so the battery is the only check.
+    assert {"from_weights", "vanishing_battery"} <= under
+    assert "condition_d_offset" not in under
