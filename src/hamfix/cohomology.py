@@ -49,6 +49,8 @@ class RingSpec(namedtuple("RingSpec", "kind n r")):
     __slots__ = ()
 
     def __new__(cls, kind: RingKind, n: int, r: tuple[Fraction, ...] | None = None):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise SpecMismatch(f"n must be an integer, got {n!r}")
         if n < 1:
             raise SpecMismatch(f"n must be >= 1, got {n}")
         if kind is RingKind.QUADRIC and (n < 3 or n % 2 == 0):

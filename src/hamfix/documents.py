@@ -43,12 +43,6 @@ def _parse_phi(value: Any, path: str) -> Fraction:
     raise ParseError(path, f"expected a rational string or integer, got {type(value).__name__}")
 
 
-def _parse_weight(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(path, f"expected an integer weight, got {value!r}")
-    return value
-
-
 def document_from_json(obj: Any) -> InputDocument:
     """Build a document from already-decoded JSON, naming bad paths."""
     if not isinstance(obj, dict):
@@ -89,7 +83,7 @@ def document_from_json(obj: Any) -> InputDocument:
             )
         for k, w in enumerate(raw_weights):
             if type(w) is not int:
-                _parse_weight(w, f"{base}.weights[{k}]")
+                raise ParseError(f"{base}.weights[{k}]", f"expected an integer weight, got {w!r}")
         points.append(FixedPoint(i, phi, tuple(raw_weights)))
 
     meta = obj.get("meta")

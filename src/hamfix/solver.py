@@ -15,7 +15,7 @@ this ansatz is a theorem; for other rings it can genuinely fail (a
 6-dimensional example with ring Z[x,y]/(x^2-5y, y^2) has no sphere
 joining P_0 and P_2 at all), so results for those rings are a filter,
 never a uniqueness claim.  ``enumerate_weight_systems`` describes the
-search and its budget.
+search, its budget, and why it needs no check once a system is placed.
 
 ``consistency_checks`` is the one verdict on whether data is genuine
 fixed point data; the CLI and ``infer_moment_values`` use it.
@@ -206,14 +206,19 @@ def enumerate_weight_systems(
     weight to P_{i-1}, whose positive product it completes, and for
     i <= n-2 its weight sum, since Gamma_i must lie on the line that
     Gamma_n and Gamma_{n-1} fix; so each placement reads one bucket of
-    an index built once per call, in list order.  A placement is cut as
-    soon as a running positive product fails to divide its target, C <=
-    0, or Gamma_0 leaves the line.  A full placement so passes
-    ``validate`` (increasing integer moment values, divisor weights, i
-    negative weights at P_i) and condition D (every Gamma_i on one line
-    of positive C) by construction, and the vanishing battery is the one
-    check left after assembly.  The result is deduplicated and sorted by
-    flattened weight lists.
+    an index built once per call, in list order.  A placement is cut when
+    P_{i-1}'s positive target is not a multiple of its product so far,
+    when C <= 0, or when Gamma_0 leaves the line.  A full placement so
+    passes ``validate`` (increasing integer moment values, divisor
+    weights, i negative weights at P_i) and condition D (every Gamma_i on
+    one line of positive C) by construction, and its Lambda_i is
+    r_i * r_{n-i} * prod_{j!=i} (phi_j - phi_i).  On that line the
+    battery is the row sum_i phi_i^b / Lambda_i (b < n), whose kernel is
+    spanned by 1 / prod_{j!=i} (phi_i - phi_j); so it passes, with volume
+    1 / r_n, exactly when r_i * r_{n-i} = r_n for every i (Poincare
+    duality).  A ring without duality returns [], and nothing is checked
+    after assembly.  The result is deduplicated and sorted by flattened
+    weight lists.
 
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
@@ -267,17 +272,9 @@ def enumerate_weight_systems(
         # A positive product is a product of divisors, so an integer; with
         # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
         pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
-        if None in pos:
+        if None in pos or any(r[i] * r[n - i] != r[n] for i in range(n + 1)):
             return []
         top_gap = vals[n] - vals[n - 1]
-
-        def on_line(gammas: list[int], k: int) -> bool:
-            # Gamma_n and Gamma_{n-1} fix C = (Gamma_{n-1} - Gamma_n) / top_gap,
-            # which must be positive; Gamma_k must then lie on their line.
-            rise = gammas[n - 1] - gammas[n]
-            if k == n - 1:
-                return rise > 0
-            return (gammas[k] - gammas[n]) * top_gap == rise * (vals[n] - vals[k])
 
         # Key each assignment by what a placement forces: its last weight,
         # and its sum too below P_{n-1}.  A bucket keeps list order.
@@ -296,11 +293,12 @@ def enumerate_weight_systems(
             # the positive product and weight sum at P_j so far.
             if i == 0:
                 data = _assemble(vals, placed, n)
-                if vanishing_battery(data).passed:
-                    unique.setdefault(tuple(p.weights for p in data.points), data)
+                unique.setdefault(tuple(p.weights for p in data.points), data)
                 return
-            # Exact: placing P_{i+1} tested this division (at P_n it is by 1).
-            key = -(pos[i - 1] // products[i - 1])
+            # P_i's weight to P_{i-1} completes P_{i-1}'s positive product.
+            key, rest = divmod(-pos[i - 1], products[i - 1])
+            if rest:
+                return
             if i <= n - 2:
                 # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
                 # C = (Gamma_{n-1} - Gamma_n) / top_gap.
@@ -311,11 +309,14 @@ def enumerate_weight_systems(
             for assignment in buckets[i - 1].get(key, ()):
                 # P_j (j < i) gains the positive weight -w.
                 below = [p * -w for p, w in zip(products, assignment)]
-                if any(pos[j] % below[j] for j in range(i - 1)):
-                    continue
                 sums = [g - w for g, w in zip(gammas, assignment)]
                 sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
-                if (i == n - 1 and not on_line(sums, i)) or (i == 1 and not on_line(sums, 0)):
+                # C = (Gamma_{n-1} - Gamma_n) / top_gap must be positive (at n = 1,
+                # P_1's one weight is negative), and Gamma_0 must lie on the line.
+                rise = sums[n - 1] - sums[n]
+                if i == n - 1 and rise <= 0:
+                    continue
+                if i == 1 and (sums[0] - sums[n]) * top_gap != rise * (vals[n] - vals[0]):
                     continue
                 placed[i - 1] = assignment
                 place(i - 1, below, sums)

@@ -6,6 +6,7 @@ again."""
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -189,6 +190,16 @@ def test_ring_spec_coerces_r_entries_exactly():
     for bad in (0.2, True):
         with pytest.raises(TypeError):
             RingSpec(RingKind.OTHER, 3, (1, 1, bad, Fraction(1, 5)))
+
+
+def test_ring_spec_refuses_a_non_integer_n():
+    # A float or bool n once built, and the search then died on a bare
+    # TypeError or compared n = True with the moment list.
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(SpecMismatch, match=rf"^n must be an integer, got {re.escape(repr(bad))}$"):
+            RingSpec(RingKind.PROJECTIVE_SPACE, bad)
+    with pytest.raises(SpecMismatch, match=r"^n must be >= 1, got 0$"):
+        RingSpec(RingKind.PROJECTIVE_SPACE, 0)
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -6,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
@@ -390,11 +391,12 @@ def test_bounded_assignments_budget_counts_every_result():
 # --- placement by lookup -----------------------------------------------------
 
 
-def _flat_scan_weight_systems(spec, phis, *, budget=None):
+def _flat_scan_weight_systems(spec, phis, *, accepted, budget=None):
     # The placement that scans every assignment of a point and tests the
     # forced last weight and the line for each: the reference the
     # bucketed lookup must match, on Fraction targets and the unbounded
-    # divisor search.
+    # divisor search.  Each candidate its checks accept is appended to
+    # ``accepted``.
     vals = list(phis)
     n = spec.n
     targets = lambda_minus_targets(spec, vals)
@@ -436,6 +438,7 @@ def _flat_scan_weight_systems(spec, phis, *, budget=None):
                 return
             if vanishing_battery(data).passed:
                 unique.setdefault(tuple(p.weights for p in data.points), data)
+                accepted.append(data)
             return
         for assignment in per_point[i - 1]:
             below = [p * -w for p, w in zip(products, assignment)]
@@ -504,15 +507,20 @@ def _placement_instances(draw):
     return spec, phis, draw(st.sampled_from([None, None, 0, 1, 3, 50]))
 
 
+# A ring without Poincare duality: the oracle assembles one candidate,
+# [(1, 1), (-1, 1), (-1, -1)], its battery rejects it at (0,0) and (0,1),
+# and the solver assembles none.
+@example((RingSpec(RingKind.OTHER, 2, (1, 1, Fraction(1, 2))), [0, 1, 2], None))
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
-    # Same systems in the same order, the same number of assembled
-    # candidates, and the same budget outcome.
+    # Same systems in the same order and the same budget outcome, and the
+    # solver assembles exactly the candidates the oracle's checks accept.
     spec, phis, budget = instance
-    assert _counted_search(enumerate_weight_systems, spec, phis, budget) == _counted_search(
-        _flat_scan_weight_systems, spec, phis, budget
-    )
+    accepted = []
+    oracle = functools.partial(_flat_scan_weight_systems, accepted=accepted)
+    expected, _ = _counted_search(oracle, spec, phis, budget)
+    assert _counted_search(enumerate_weight_systems, spec, phis, budget) == (expected, len(accepted))
 
 
 # --- verify ------------------------------------------------------------------
