@@ -52,6 +52,8 @@ class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
     __slots__ = ()
 
     def __new__(cls, index: int, moment_value: RatLike, weights: Iterable[int]):
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise StructureError(f"point index must be an integer, got {index!r}")
         moment_value = rat(moment_value)
         weights = tuple(weights)  # a one-shot iterable is read once
         for w in weights:
@@ -101,7 +103,7 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
     __slots__ = ()
 
     def __new__(cls, n: int, points: Iterable[FixedPoint]):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise StructureError(f"n must be a positive integer, got {n!r}")
         pts = tuple(points)
         if len(pts) != n + 1:

@@ -102,6 +102,8 @@ def parse_document(text: str) -> InputDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, deep nesting
+        raise ParseError("$", f"unreadable JSON: {exc}") from None
     return document_from_json(obj)
 
 
@@ -123,7 +125,11 @@ def serialize_document(doc: InputDocument) -> str:
 
 def load_document(path: str) -> InputDocument:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("$", f"not UTF-8 text: {exc}") from None
+    return parse_document(text)
 
 
 def save_document(doc: InputDocument, path: str):

@@ -470,72 +470,62 @@ class GradientSphereGraph(namedtuple("GradientSphereGraph", "n edges ambiguous m
 
 
 def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
-    """Pair weights into gradient-sphere edges by a deterministic greedy.
+    """Pair weights into gradient-sphere edges in one upward pass.
 
-    A paired edge needs -w at the upper point, +w at the lower, and w
-    dividing the moment gap; candidates are consumed largest weight
-    first, then smallest point distance.  Leftover weights become
+    A paired edge needs -w at the upper point P_i, +w at a lower P_j,
+    and w dividing phi_i - phi_j, i.e. u_i = u_j modulo q*w with
+    u = q*phi integral.  For each |w| and residue class, the lower
+    points still holding an open +w form a stack; each -w at P_i takes
+    the top (the nearest open +w below, as a closing parenthesis takes
+    the nearest open one), then P_i pushes its own +w.  This is the
+    closest-first greedy: two candidates at equal distance never share
+    an endpoint, so their order is immaterial.  Leftover weights become
     unpaired edges when a single feasible pole remains, and are flagged
     ambiguous otherwise.  ``missing_pairs`` lists point pairs with no
     edge at all.  A zero weight raises StructureError.
-
-    The gap test runs on residues: q*w divides u_i - u_j exactly when
-    u_i and u_j agree modulo q*w, so for each |w| the lower points are
-    bucketed by residue and each upper point meets only its own bucket.
     """
     n = data.n
-    # w divides phi_i - phi_j exactly when q*w divides u_i - u_j, with
-    # u = q*phi integral (q the lcm of the denominators).
     q = lcm(*(p.moment_value.denominator for p in data.points))
     u = [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
-    # For each |w|, how often each point still carries -w (neg) and +w (pos).
-    neg: dict[int, dict[int, int]] = {}
-    pos: dict[int, dict[int, int]] = {}
+    # (|w|, residue of u mod q*|w|) -> the points below with an open +w, nearest last
+    open_poles: dict[tuple[int, int], list[int]] = {}
+    keys: list[tuple[int, int, int, bool]] = []  # (lower, upper, |w|, not paired)
+    unmatched: dict[tuple[int, int], int] = {}  # (i, |w|) -> how many -w found no +w
     for p in data.points:
         k = p.index
-        for w in p.weights:
-            if w == 0:
+        for w in p.weights:  # ascending: every -w is matched before P_k opens a +w
+            if w < 0:
+                stack = open_poles.get((-w, u[k] % (q * -w)))
+                if stack:
+                    keys.append((stack.pop(), k, -w, False))
+                else:
+                    unmatched[k, -w] = unmatched.get((k, -w), 0) + 1
+            elif w:
+                open_poles.setdefault((w, u[k] % (q * w)), []).append(k)
+            else:
                 raise StructureError(f"zero weight at point {k}")
-            at = neg.setdefault(-w, {}) if w < 0 else pos.setdefault(w, {})
-            at[k] = at.get(k, 0) + 1
-
-    edges: list[SphereEdge] = []
-    for w in sorted(neg.keys() & pos.keys(), reverse=True):
-        uppers, lowers = neg[w], pos[w]
-        modulus = q * w
-        by_residue: dict[int, list[int]] = {}
-        for j in lowers:
-            by_residue.setdefault(u[j] % modulus, []).append(j)
-        candidates = sorted(
-            (i - j, j, i)
-            for i in uppers
-            for j in by_residue.get(u[i] % modulus, ())
-            if j < i
-        )
-        for _, j, i in candidates:
-            count = min(uppers[i], lowers[j])
-            if count:
-                uppers[i] -= count
-                lowers[j] -= count
-                edges += [SphereEdge(j, i, w, True)] * count
 
     ambiguous: list[AmbiguousWeight] = []
-    for sign, table in ((-1, neg), (1, pos)):
-        leftovers = sorted((k, w, c) for w, at in table.items() for k, c in at.items() if c)
-        for k, w, count in leftovers:
+    unopened: dict[tuple[int, int], int] = {}  # (j, |w|) -> how many +w stayed open
+    for (w, _), stack in open_poles.items():
+        for j in stack:
+            unopened[j, w] = unopened.get((j, w), 0) + 1
+    for sign, leftovers in ((-1, unmatched), (1, unopened)):
+        for (k, w), count in sorted(leftovers.items()):
             poles = range(k) if sign < 0 else range(k + 1, n + 1)
             feasible = tuple(m for m in poles if (u[k] - u[m]) % (q * w) == 0)
             if len(feasible) == 1:
-                edges += [SphereEdge(*sorted((k, feasible[0])), w, False)] * count
+                keys += [(min(k, feasible[0]), max(k, feasible[0]), w, True)] * count
             else:
                 ambiguous += [AmbiguousWeight(k, sign * w, feasible)] * count
 
-    edges.sort(key=lambda e: (e.lower, e.upper, e.weight, not e.paired))
-    covered = {(e.lower, e.upper) for e in edges}
+    keys.sort()
+    covered = {(j, i) for j, i, _, _ in keys}
     missing = tuple(
         (j, i)
         for j in range(n + 1)
         for i in range(j + 1, n + 1)
         if (j, i) not in covered
     )
-    return GradientSphereGraph(n, tuple(edges), tuple(ambiguous), missing)
+    edges = tuple(SphereEdge(j, i, w, not unpaired) for j, i, w, unpaired in keys)
+    return GradientSphereGraph(n, edges, tuple(ambiguous), missing)

@@ -73,6 +73,39 @@ def test_check_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
 
 
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    # Once a UnicodeDecodeError traceback and exit 1 ("check failed").
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: not UTF-8 text: ")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_check_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    path = tmp_path / "big.json"
+    path.write_text('{"n": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: unreadable JSON: Exceeds the limit")
+
+
+def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: unreadable JSON: ")
+
+
+def test_check_invalid_json_message_is_kept(tmp_path, capsys):
+    path = tmp_path / "trailing.json"
+    path.write_text("{} x", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: $: invalid JSON: Extra data: line 1 column 4 (char 3)\n"
+
+
 def test_check_no_integrality_flag(tmp_path, capsys):
     path = tmp_path / "frac.json"
     path.write_text(

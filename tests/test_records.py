@@ -202,6 +202,27 @@ def test_ring_spec_refuses_a_non_integer_n():
         RingSpec(RingKind.PROJECTIVE_SPACE, 0)
 
 
+def test_fixed_point_data_refuses_a_bool_or_non_int_n():
+    # n = True once built, and save_document then wrote "n": True, which
+    # is not JSON, so hamfix could not read the file back.
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(StructureError, match=rf"^n must be a positive integer, got {re.escape(repr(bad))}$"):
+            FixedPointData(bad, (P0, P1))
+    with pytest.raises(StructureError):
+        pickle.loads(pickle.dumps(tuple.__new__(FixedPointData, (True, (P0, P1)))))
+
+
+def test_fixed_point_refuses_a_bool_or_non_int_index():
+    # True, False or 1.0 once passed as the index, since they equal the position.
+    for bad in (False, True, 0.0, "0", None):
+        with pytest.raises(StructureError, match=rf"^point index must be an integer, got {re.escape(repr(bad))}$"):
+            FixedPoint(bad, 0, (1,))
+    with pytest.raises(StructureError):
+        FixedPointData(1, (P0, P1._replace(index=True)))
+    with pytest.raises(StructureError):
+        copy.copy(tuple.__new__(FixedPoint, (1.0, 1, (-1,))))
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # pytest itself imports dataclasses, so ask a fresh interpreter.
     code = "import sys, hamfix.cli; print('dataclasses' in sys.modules)"

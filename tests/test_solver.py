@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hamfix import (
     AmbiguousWeight,
+    FixedPoint,
     FixedPointData,
     GradientSphereGraph,
     InconsistentGamma,
@@ -35,7 +36,7 @@ from hamfix import (
 from hamfix.errors import HamfixError
 from hamfix.solver import DEFAULT_BUDGET, _assemble, _checked_phis, _divisors, _negative_assignments
 
-from conftest import cpn_b_lists, outcome, quadric_b_lists, read_path_data
+from conftest import cpn_b_lists, model_data, outcome, quadric_b_lists, read_path_data
 
 CASE1_WEIGHTS = [(1, 2, 3), (-1, 1, 4), (-1, -4, 1), (-1, -2, -3)]
 CASE2_WEIGHTS = [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)]
@@ -693,8 +694,9 @@ def test_gradient_graph_of_models_is_the_standard_sphere_set(model):
 
 
 def _all_pairs_gradient_graph(data):
-    # The greedy with every (upper, lower) point pair tested for the gap
-    # and a Counter per |w|: the reference the residue buckets must match.
+    # The closest-first greedy: for each |w|, largest first, every (upper,
+    # lower) point pair tested for the gap, sorted by distance and consumed
+    # with a Counter.  The reference the upward pass must match.
     n = data.n
     q = math.lcm(*(p.moment_value.denominator for p in data.points))
     u = [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
@@ -739,9 +741,48 @@ def _all_pairs_gradient_graph(data):
     return GradientSphereGraph(n, tuple(edges), tuple(ambiguous), missing)
 
 
-@settings(max_examples=300)
-@given(read_path_data())
-def test_gradient_graph_residue_buckets_match_the_all_pairs_reference(data):
+@st.composite
+def repeated_weight_data(draw):
+    """Random data whose weights repeat: each drawn from +-1, +-2, +-3,
+    moment values in halves or thirds, not always increasing."""
+    n = draw(st.integers(1, 8))
+    den = draw(st.sampled_from((1, 2, 3)))
+    phis = draw(st.lists(st.integers(-12, 12), min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        phis.sort()
+    weight = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    weights = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=n + 1, max_size=n + 1))
+    return FixedPointData.from_weights([Fraction(p, den) for p in phis], weights)
+
+
+@settings(max_examples=400)
+@given(st.one_of(read_path_data(), model_data(max_n=16), repeated_weight_data()))
+def test_gradient_graph_upward_pass_matches_the_all_pairs_reference(data):
     # Same edges, ambiguous weights and missing pairs in the same order,
     # or the same exception class and text.
     assert outcome(gradient_graph, data) == outcome(_all_pairs_gradient_graph, data)
+
+
+def test_gradient_graph_nearest_open_pole_is_the_closest_first_greedy():
+    # Every count vector of -1 and +1 weights in {0, 1, 2} on five points
+    # at phi = 0..4, where 1 divides every gap: one residue class, so the
+    # pass is pure parenthesis matching.  The padding, -5 on the lower
+    # points and +5 on the upper ones, never pairs.
+    closest_first = sorted((i - j, j, i) for i in range(5) for j in range(i))
+    points = {
+        (k, a, b): FixedPoint(k, k, (-1,) * a + (1,) * b + (5 if k > 2 else -5,) * (4 - a - b))
+        for k in range(5)
+        for a in range(3)
+        for b in range(3)
+    }
+    for counts in itertools.product(range(3), repeat=10):
+        neg, pos = list(counts[:5]), list(counts[5:])
+        data = FixedPointData(4, [points[k, neg[k], pos[k]] for k in range(5)])
+        expected = []
+        for _, j, i in closest_first:
+            count = min(neg[i], pos[j])
+            neg[i] -= count
+            pos[j] -= count
+            expected += [(j, i)] * count
+        paired = [(j, i) for j, i, w, paired in gradient_graph(data).edges if paired and w == 1]
+        assert paired == sorted(expected), counts
