@@ -138,12 +138,14 @@ def _load(args) -> tuple[FixedPointData, tuple[Check, ...]]:
     return data, consistency_checks(data, require_integral_differences=not args.no_integrality)
 
 
-def _refused(checks: tuple[Check, ...]) -> bool:
-    """Name the first failing check's detail on stderr; True if one failed."""
+def _checked(args) -> FixedPointData:
+    """The file's data, or a HamfixError with the first failing check's
+    detail, which ``main`` reports as exit 1."""
+    data, checks = _load(args)
     failed = next((c for c in checks if not c.passed), None)
     if failed is not None:
-        print(f"error: {failed.detail}", file=sys.stderr)
-    return failed is not None
+        raise HamfixError(failed.detail)
+    return data
 
 
 def _check_line(check: Check) -> str:
@@ -159,18 +161,10 @@ def _format_rat_list(values) -> str:
 def _chern_polynomial(gamma) -> str:
     text = "1"
     for i, g in enumerate(gamma, start=1):
-        if g == 0:
-            continue
-        sign = " + " if g > 0 else " - "
-        mag = abs(g)
-        var = "x" if i == 1 else f"x^{i}"
-        if mag == 1:
-            term = var
-        elif mag.denominator == 1:
-            term = f"{mag}{var}"
-        else:
-            term = f"({mag}){var}"
-        text += sign + term
+        if g:
+            mag = abs(g)
+            coefficient = "" if mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
+            text += (" + " if g > 0 else " - ") + coefficient + ("x" if i == 1 else f"x^{i}")
     return text
 
 
@@ -184,9 +178,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ring(args) -> int:
-    data, checks = _load(args)
-    if _refused(checks):
-        return EXIT_CHECK_FAILED
+    data = _checked(args)
     rc = ring_coefficients(data)
     kind = classify_ring(rc).kind
     payload = {"n": rc.n, "r": [str(v) for v in rc.r], "classification": str(kind), "passed": True}
@@ -194,9 +186,7 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_chern(args) -> int:
-    data, checks = _load(args)
-    if _refused(checks):
-        return EXIT_CHECK_FAILED
+    data = _checked(args)
     chern = chern_coefficients(data)
     polynomial = _chern_polynomial(chern.gamma)
     payload = {

@@ -17,9 +17,10 @@ r == (1,..,1,1/2,..,1/2) with the step at (n+1)/2 is the ring of the
 odd-dimensional quadric Z[x,y]/(x^{(n+1)/2} - 2y, y^2).
 
 The Chern classes c_i(M) = gamma_i * x^i follow from the restrictions
-sigma_i(weights at P_k) * t^i of the equivariant Chern classes via two
-independent interpolation formulas (one weighted by products of
-negative weights, one by positive); both are computed and must agree.
+sigma_i(weights at P_k) * t^i of the equivariant Chern classes by an
+interpolation formula in the negative weights.  ``chern_coefficients``
+proves the positive-weight one equal on data that passes the consistency
+checks; on other data, ring and Chern results mean nothing.
 """
 
 from __future__ import annotations
@@ -133,11 +134,8 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
             c, cj = Fraction(q * rise, run), Fraction(q * (g0 - gs[j]), u[j] - u0)
             raise NonConstantC1(f"pair (0,1) gives {c} but pair (0,{j}) gives {cj}")
     if len(set(u)) <= data.n:
-        points_at: dict[int, list[int]] = {}
-        for i, ui in enumerate(u):
-            points_at.setdefault(ui, []).append(i)
-        same = next(s for s in points_at.values() if len(s) > 1)
-        raise NonConstantC1(f"equal moment values at P_{same[0]} and P_{same[1]}")
+        i, j = next((i, j) for i in range(len(u)) for j in range(i + 1, len(u)) if u[i] == u[j])
+        raise NonConstantC1(f"equal moment values at P_{i} and P_{j}")
     c = Fraction(q * rise, run)
     if rise * run <= 0:
         raise NonPositiveC1(f"common c1 coefficient {c} is not positive")
@@ -199,9 +197,7 @@ def _sigma_table(data: FixedPointData) -> tuple[tuple[int, ...], ...]:
     table = []
     for p in data.points:
         coeffs = [1] + [0] * data.n
-        deg = 0
-        for w in p.weights:
-            deg += 1
+        for deg, w in enumerate(p.weights, start=1):
             for k in range(deg, 0, -1):
                 coeffs[k] += w * coeffs[k - 1]
         table.append(tuple(coeffs))
@@ -211,47 +207,38 @@ def _sigma_table(data: FixedPointData) -> tuple[tuple[int, ...], ...]:
 def chern_coefficients(data: FixedPointData) -> ChernData:
     """Compute gamma_1..gamma_n with c_i(M) = gamma_i * x^i.
 
-    Each c_i(M) equals a weight-determined scalar times alpha_i, computed
-    two ways and cross-checked:
+    c_i(M) = s_i * alpha_i, with s_i read off the negative weights:
 
-    * via positive weights:
-        [Lambda_i^+ / prod_{j>i} (Gamma_i - Gamma_j)]
-        * sum_{k<=i} sigma_i(P_k) * prod_{j>i} (Gamma_k - Gamma_j) / Lambda_k
-    * via negative weights:
-        [prod_{j<i} (Gamma_i - Gamma_j) / Lambda_i^-]
-        * sum_{k<=i} sigma_i(P_k) / prod_{j<=i, j!=k} (Gamma_k - Gamma_j)
+        s_i = [prod_{j<i} (Gamma_i - Gamma_j) / Lambda_i^-]
+              * sum_{k<=i} sigma_i(P_k) / prod_{j<=i, j!=k} (Gamma_k - Gamma_j).
 
-    (Lambda_k is the product of all weights at P_k.)  The scalar is then
-    converted to the x-basis through gamma_i = scalar * r_i.  Each sum
-    is taken in integers over one common denominator: lcm_k Lambda_k for
-    the first, lcm_k prod_{j<=i, j!=k} (Gamma_k - Gamma_j) for the second.
+    In gamma_i = s_i * r_i the factor before the sum cancels, so
+    gamma_i = acc * (Gamma_1 - Gamma_0)^i / (den * (Lambda_1^-)^i), with
+    acc / den the sum over its integer common denominator.  The products
+    are kept running from i = 1 up, O(n^2) in all.
 
-    Both products are kept as running products, O(n^2) in all: the
-    first for i from n down (each step multiplies in the factor of
-    j = i+1), the second for i from 1 up (each step multiplies in the
-    factor of j = i).  The degrees are then cross-checked from 1 up, by
-    cross-multiplying the two integer quotients.  In scalar * r_i the
-    factor prod_{j<i} (Gamma_i - Gamma_j) / Lambda_i^- cancels, so
-    gamma_i = acc * (Gamma_1 - Gamma_0)^i / (den * (Lambda_1^-)^i) with
-    acc / den the second sum, and ``ring_coefficients`` is not called.
+    The positive-weight formula gives the same s_i on data that passes
+    ``consistency_checks``:
+
+        s_i = [Lambda_i^+ / prod_{j>i} (Gamma_i - Gamma_j)]
+              * sum_{k<=i} sigma_i(P_k) * prod_{j>i} (Gamma_k - Gamma_j) / Lambda_k,
+
+    Lambda_k the product of all weights at P_k.  Proof: the Gammas are
+    distinct; the battery makes sum_k phi_k^b / Lambda_k vanish for b < n,
+    and that row's kernel is spanned by 1 / prod_{j!=k} (phi_k - phi_j),
+    so with condition D, Lambda_k = K * prod_{j!=k} (Gamma_k - Gamma_j) for
+    one K.  Each positive term is then sigma_i(P_k) / (K * prod_{j<=i, j!=k}
+    (Gamma_k - Gamma_j)), and the two s_i differ by the factor
+    Lambda_i^+ * Lambda_i^- / (K * prod_{j!=i} (Gamma_i - Gamma_j)) = 1.
+    Elsewhere the result means nothing, as with ``ring_coefficients``.
+    Equal Gammas raise HamfixError, and a zero weight StructureError.
     """
     n = data.n
     gs = _distinct_gammas(data)
     pts = data.points
-    lambdas = [p.lambda_all for p in pts]
-    big_l = lcm(*lambdas)
-    scale = [big_l // lam for lam in lambdas]
+    for p in pts:
+        p.lambda_all  # raises StructureError on a zero weight
     sigma = _sigma_table(data)
-
-    # upper[k] = prod_{j>i} (Gamma_k - Gamma_j), for k <= i.
-    upper = [1] * (n + 1)
-    plus: dict[int, tuple[int, int]] = {}  # degree -> (numerator, denominator)
-    for i in range(n, 0, -1):
-        acc = sum(sigma[k][i] * upper[k] * scale[k] for k in range(i + 1))
-        plus[i] = (pts[i].lambda_plus * acc, upper[i] * big_l)
-        g = gs[i]
-        for k in range(i):
-            upper[k] *= gs[k] - g
 
     # lower[k] = prod_{j<=i, j!=k} (Gamma_k - Gamma_j), for k <= i.
     lower = [1]
@@ -264,11 +251,6 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
         lower.append(prod(g - gs[j] for j in range(i)))
         den = lcm(*lower)
         acc = sum(sigma[k][i] * (den // lower[k]) for k in range(i + 1))
-        minus_num, minus_den = lower[i] * acc, pts[i].lambda_minus * den
-        plus_num, plus_den = plus[i]
-        if plus_num * minus_den != minus_num * plus_den:
-            scalars = Fraction(plus_num, plus_den), Fraction(minus_num, minus_den)
-            raise HamfixError(f"c_{i} expressions disagree: {scalars[0]} vs {scalars[1]}")
         rise_i *= rise
         lam1_i *= lam1
         gammas.append(Fraction(acc * rise_i, den * lam1_i))
@@ -298,9 +280,7 @@ def reference_chern(kind: RingKind, n: int) -> tuple[int, ...]:
     if kind is RingKind.PROJECTIVE_SPACE:
         return tuple(comb(n + 1, i) for i in range(1, n + 1))
     if kind is RingKind.QUADRIC:
-        coeffs = []
-        for k in range(1, n + 1):
-            c = sum(comb(n + 2, j) * (-2) ** (k - j) for j in range(k + 1))
-            coeffs.append(c)
-        return tuple(coeffs)
+        return tuple(
+            sum(comb(n + 2, j) * (-2) ** (k - j) for j in range(k + 1)) for k in range(1, n + 1)
+        )
     raise SpecMismatch("no reference Chern series for an Other ring")

@@ -94,8 +94,8 @@ class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
 class FixedPointData(namedtuple("FixedPointData", "n points")):
     """n plus the ordered list of n+1 fixed points.
 
-    Construction enforces only structure: n >= 1, exactly n+1 points with
-    indices 0..n, and n weights per point.  Everything value-level
+    Construction enforces only structure: n >= 1, exactly n+1 FixedPoints
+    with indices 0..n, and n weights per point.  Everything value-level
     (monotone moments, integral gaps, nonzero weights, Morse counts) is
     the job of ``validate``.
     """
@@ -109,6 +109,8 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
         if len(pts) != n + 1:
             raise StructureError(f"expected {n + 1} points, got {len(pts)}")
         for i, p in enumerate(pts):
+            if not isinstance(p, FixedPoint):
+                raise StructureError(f"point at position {i} is not a FixedPoint: {p!r}")
             if p.index != i:
                 raise StructureError(f"point at position {i} has index {p.index}")
             if len(p.weights) != n:
@@ -208,10 +210,8 @@ def validate(data: FixedPointData, *, require_integral_differences: bool = True)
                 )
 
     for p in data.points:
-        if any(w == 0 for w in p.weights):
-            found.append(
-                Violation("nonzero-weights", p.index, f"zero weight at point {p.index}")
-            )
+        if 0 in p.weights:
+            found.append(Violation("nonzero-weights", p.index, f"zero weight at point {p.index}"))
 
     for p in data.points:
         k = p.negative_count

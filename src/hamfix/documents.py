@@ -14,12 +14,18 @@ validation is the job of the ``check`` command.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from typing import Any
 
 from .core import FixedPoint, FixedPointData
 from .errors import ParseError, StructureError
+
+
+# "<mantissa>e<exponent>" as Fraction reads it, with trailing space.
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)(\s*)", re.IGNORECASE | re.DOTALL)
 
 
 class InputDocument(namedtuple("InputDocument", "data meta", defaults=(None,))):
@@ -36,10 +42,25 @@ def _parse_phi(value: Any, path: str) -> Fraction:
             return Fraction(int(value))
         raise ParseError(path, f"non-integral number {value!r}; use a \"p/q\" string")
     if isinstance(value, str):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         try:
-            return Fraction(value)
+            m = _EXPONENT.fullmatch(value) if limit else None
+            if m and abs(int(m[2])) > limit + len(m[1]):
+                # Fraction would build 10**|exponent|; past this bound the value
+                # is 0 or passes the limit, so read it with exponent 0 first.
+                try:
+                    if Fraction(f"{m[1]}e0{m[3]}") == 0:
+                        return Fraction(0)
+                    raise ParseError(path, f"exponent {m[2]} exceeds the {limit}-digit limit")
+                except ValueError:  # then Fraction(value) fails too, at once
+                    pass
+            phi = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(path, f"not a rational \"p/q\" string: {exc}") from None
+        big = max(abs(phi.numerator), phi.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ParseError(path, f"numerator or denominator past the {limit}-digit limit")
+        return phi
     raise ParseError(path, f"expected a rational string or integer, got {type(value).__name__}")
 
 

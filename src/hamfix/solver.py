@@ -223,9 +223,9 @@ def enumerate_weight_systems(
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
 
-    ``budget`` (default 200000; ``--budget`` on the command line) caps
-    both the assignments found at one point and the number of
-    combinations of them (the product of the per-point counts);
+    ``budget`` (a nonnegative int, default 200000; ``--budget`` on the
+    command line) caps both the assignments found at one point and the
+    number of combinations of them (the product of the per-point counts);
     exceeding either raises SearchBudgetExceeded rather than truncating,
     as does a search deeper than the recursion limit.  Every point is
     searched before the combinations are counted, and neither count
@@ -235,6 +235,8 @@ def enumerate_weight_systems(
     n = spec.n
     if budget is None:
         budget = DEFAULT_BUDGET
+    elif isinstance(budget, bool) or not isinstance(budget, int):
+        raise SpecMismatch(f"budget must be an integer, got {budget!r}")
     elif budget < 0:
         raise SpecMismatch(f"budget must be nonnegative, got {budget}")
     r = spec.r_sequence()
@@ -347,26 +349,24 @@ def verify_equivalence(
     (4)=>(3): its Chern coefficients match the reference series;
     (4)=>(1): its c1 coefficient is the degree-1 term of that series,
     n+1 (projective space) or n (quadric).  A standard system that cannot
-    be built or measured fails the line with the reason.  ``budget`` is
-    passed to ``enumerate_weight_systems``.
+    be built, or that fails ``consistency_checks`` (its ring and Chern
+    classes would mean nothing), fails every line with the reason; one
+    that passes them is always measurable.  ``budget`` is passed to
+    ``enumerate_weight_systems``.
     """
     if spec.kind is RingKind.OTHER:
         raise SpecMismatch("equivalence verification is defined for the model rings only")
     systems = enumerate_weight_systems(spec, phis, budget=budget)
     reference = reference_chern(spec.kind, spec.n)
     try:
-        standard, unbuilt = _EXPECTED_WEIGHTS[spec.kind](phis), ""
+        standard = _EXPECTED_WEIGHTS[spec.kind](phis)
     except HamfixError as exc:
-        standard, unbuilt = None, f"standard weight system not constructible: {exc}"
-
-    def line(name: str, measure) -> Check:
-        # measure(standard) returns (passed, detail)
-        if standard is None:
-            return Check(name, False, unbuilt)
-        try:
-            return Check(name, *measure(standard))
-        except HamfixError as exc:
-            return Check(name, False, str(exc))
+        standard, reason = None, f"standard weight system not constructible: {exc}"
+    else:
+        # Every system the search returns passes the checks; this one may not.
+        checks = () if standard in systems else consistency_checks(standard)
+        failed = next((c for c in checks if not c.passed), None)
+        reason = f"standard weight system fails {failed.name}: {failed.detail}" if failed else ""
 
     def unique(expected):
         if len(systems) != 1:
@@ -388,11 +388,10 @@ def verify_equivalence(
             return False, f"C = {c}, expected {reference[0]}"
         return True, f"C = {c} = {'n+1' if c == spec.n + 1 else 'n'}"
 
-    lines = (
-        line("(2)=>(4)", unique),
-        line("(4)=>(2)", ring),
-        line("(4)=>(3)", chern),
-        line("(4)=>(1)", c1),
+    measures = {"(2)=>(4)": unique, "(4)=>(2)": ring, "(4)=>(3)": chern, "(4)=>(1)": c1}
+    lines = tuple(
+        Check(name, False, reason) if reason else Check(name, *measure(standard))
+        for name, measure in measures.items()
     )
     return EquivalenceReport(spec, lines, len(systems))
 

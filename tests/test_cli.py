@@ -92,6 +92,25 @@ def test_check_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: $: unreadable JSON: Exceeds the limit")
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+@pytest.mark.parametrize("phi", ["1e5000", "1e10000000", "-2.5e-10000000", "1e4400"])
+def test_check_phi_exponent_past_the_digit_limit_exits_2(tmp_path, capsys, phi):
+    # "1e5000" once parsed and then made str() raise a ValueError
+    # traceback, exit 1; "1e10000000" first spent seconds building 10**10000000.
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"n": 1, "points": [{"phi": "0", "weights": [1]}, {"phi": "%s", "weights": [-1]}]}' % phi,
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: points[1].phi: ") and "digit limit" in err
+
+
 def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")

@@ -88,7 +88,8 @@ CASES = (
         ["chern", "battery_fails.json"],
         ["ring", "battery_fails.json", "--json"],
         ["ring", "two_violations.json"],
-        # the standard system fails the Chern cross-check: FAIL lines, exit 1
+        # the standard system is off the c1 line, so fails its consistency
+        # checks: every line FAILs with the first failing check, exit 1
         ["verify", "--ring", "quadric", "--phi=-4,-3,1,4"],
         ["verify", "--ring", "quadric", "--phi=-4,-3,1,4", "--json"],
     ]

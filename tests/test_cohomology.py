@@ -1,6 +1,7 @@
+import functools
 from fractions import Fraction
-from itertools import combinations
-from math import lcm, prod
+from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,19 +15,25 @@ from hamfix import (
     NonPositiveC1,
     RingCoefficients,
     RingKind,
+    RingSpec,
+    abbv_sum,
     c1_coefficient,
     chern_coefficients,
     classify_ring,
     condition_d_offset,
+    consistency_checks,
     cpn_model,
+    enumerate_weight_systems,
+    expected_weights_quadric,
     quadric_model,
     reference_chern,
     ring_coefficients,
+    vanishing_battery,
 )
 
 from hamfix.cohomology import _sigma_table
 
-from conftest import cpn_b_lists, outcome, quadric_b_lists, read_path_data
+from conftest import cpn_b_lists, model_data, outcome, quadric_b_lists, read_path_data
 
 # --- independent series oracles -------------------------------------------
 # Total Chern classes of the model spaces, computed by naive power-series
@@ -210,31 +217,41 @@ def test_chern_sphere():
     assert chern.gamma == (2,)
 
 
-def _cubic_chern_coefficients(data):
-    # The Chern coefficients with every product over the Gammas taken
-    # afresh for each degree i and point k, O(n^3) in all.
-    n = data.n
+# The two interpolation formulas for the scalar s_i with c_i = s_i * alpha_i,
+# each product over the Gammas taken afresh, O(n^2) per degree.  Given
+# Fractions they are exact; given sympy symbols, symbolic.
+
+
+def _positive_scalar(i, gs, lambdas, lambda_plus, sigma_i):
+    # [Lambda_i^+ / prod_{j>i} (Gamma_i - Gamma_j)]
+    # * sum_{k<=i} sigma_i(P_k) * prod_{j>i} (Gamma_k - Gamma_j) / Lambda_k
+    upper = [prod(gs[k] - gs[j] for j in range(i + 1, len(gs))) for k in range(i + 1)]
+    return lambda_plus / upper[i] * sum(sigma_i[k] * upper[k] / lambdas[k] for k in range(i + 1))
+
+
+def _negative_scalar(i, gs, lambda_minus, sigma_i):
+    # [prod_{j<i} (Gamma_i - Gamma_j) / Lambda_i^-]
+    # * sum_{k<=i} sigma_i(P_k) / prod_{j<=i, j!=k} (Gamma_k - Gamma_j)
+    lower = [prod(gs[k] - gs[j] for j in range(i + 1) if j != k) for k in range(i + 1)]
+    return lower[i] / lambda_minus * sum(sigma_i[k] / lower[k] for k in range(i + 1))
+
+
+def _cubic_chern_coefficients(data, positive=False):
+    # gamma_i = s_i * r_i, by the negative formula (the one hamfix uses)
+    # or the positive one.
     r = ring_coefficients(data).r  # raises on equal Gammas
-    gs = [p.gamma for p in data.points]
-    lambdas = [p.lambda_all for p in data.points]
-    big_l = lcm(*lambdas)
+    pts = data.points
+    lambdas = [Fraction(p.lambda_all) for p in pts]  # raises on a zero weight
+    gs = [Fraction(p.gamma) for p in pts]
     sigma = _sigma_table(data)
-
     gammas = []
-    for i in range(1, n + 1):
-        upper = [prod(gs[k] - gs[j] for j in range(i + 1, n + 1)) for k in range(i + 1)]
-        acc = sum(sigma[k][i] * upper[k] * (big_l // lambdas[k]) for k in range(i + 1))
-        scalar_plus = Fraction(data.points[i].lambda_plus * acc, upper[i] * big_l)
-
-        lower = [prod(gs[k] - gs[j] for j in range(i + 1) if j != k) for k in range(i + 1)]
-        den = lcm(*lower)
-        acc = sum(sigma[k][i] * (den // lower[k]) for k in range(i + 1))
-        scalar_minus = Fraction(lower[i] * acc, data.points[i].lambda_minus * den)
-
-        if scalar_plus != scalar_minus:
-            raise HamfixError(f"c_{i} expressions disagree: {scalar_plus} vs {scalar_minus}")
-        gammas.append(scalar_plus * r[i])
-
+    for i in range(1, data.n + 1):
+        sigma_i = [Fraction(row[i]) for row in sigma]
+        if positive:
+            scalar = _positive_scalar(i, gs, lambdas, Fraction(pts[i].lambda_plus), sigma_i)
+        else:
+            scalar = _negative_scalar(i, gs, Fraction(pts[i].lambda_minus), sigma_i)
+        gammas.append(scalar * r[i])
     return ChernData(sigma, tuple(gammas))
 
 
@@ -242,8 +259,106 @@ def _cubic_chern_coefficients(data):
 @given(read_path_data())
 def test_chern_running_products_match_the_cubic_reference(data):
     # Same gammas and sigma table, or the same exception class and text:
-    # equal Gammas, a zero weight, or the two expressions disagreeing.
+    # equal Gammas or a zero weight.
     assert outcome(chern_coefficients, data) == outcome(_cubic_chern_coefficients, data)
+
+
+@functools.cache
+def _dual_other_ring_systems():
+    # Every system the search finds for r = (1,1,a,a) (n = 3) and
+    # (1,1,a,a^2,a^2) (n = 4) over a box of moment gaps: both rings have
+    # Poincare duality, so the search returns data that passes the checks.
+    systems = []
+    for n, a, steps in ((3, Fraction(1, 3), (3, 6)), (3, Fraction(1, 4), (2, 4, 6)),
+                        (3, Fraction(1, 6), (3, 6)), (4, Fraction(1, 2), (2, 4, 6))):
+        r = (1, 1, a, a) if n == 3 else (1, 1, a, a * a, a * a)
+        for gaps in product(steps, repeat=n):
+            phis = [sum(gaps[:i]) for i in range(n + 1)]
+            systems += enumerate_weight_systems(RingSpec(RingKind.OTHER, n, r), phis)
+    return systems
+
+
+_EXCEPTIONAL = (
+    FixedPointData.from_weights([0, 1, 5, 6], [(1, 2, 3), (-1, 1, 4), (-1, -4, 1), (-1, -2, -3)]),
+    FixedPointData.from_weights([0, 1, 11, 12], [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)]),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        model_data(),
+        st.sampled_from(_EXCEPTIONAL),
+        st.deferred(lambda: st.sampled_from(_dual_other_ring_systems())),
+    )
+)
+def test_positive_formula_agrees_on_data_passing_the_checks(data):
+    # The proof in chern_coefficients' docstring: the battery and
+    # condition D make the positive and the negative formula one number.
+    assert all(check.passed for check in consistency_checks(data))
+    assert _cubic_chern_coefficients(data, positive=True) == chern_coefficients(data)
+
+
+def _partitions(n, largest=None):
+    # The partitions of n, as non-increasing tuples of positive parts.
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+@settings(max_examples=100)
+@given(st.one_of(model_data(max_n=8), st.sampled_from(_EXCEPTIONAL)))
+def test_chern_numbers_match_their_localization_sums(data):
+    # Each Chern number c_{i_1}...c_{i_k}[M] (i_1 + ... + i_k = n) two
+    # ways: the localization sum sum_P prod_k sigma_{i_k}(P) / Lambda_P,
+    # and prod_k gamma_{i_k} times x^n[M], the symplectic volume.  Both
+    # are the same integral on a genuine manifold, so the data are the
+    # models and the two exceptional Fano threefolds.  Passing the four
+    # checks is not enough: the solver's n = 4 systems for
+    # r = (1,1,1/2,1/4,1/4) pass them and fail this for c_2^2.
+    chern = chern_coefficients(data)
+    volume = vanishing_battery(data).volume
+    for parts in _partitions(data.n):
+        local = abbv_sum(data, [prod(row[i] for i in parts) for row in chern.sigma])
+        assert local == prod(chern.gamma[i - 1] for i in parts) * volume, parts
+
+
+def test_dual_other_ring_systems_are_not_models():
+    systems = _dual_other_ring_systems()
+    assert len(systems) >= 10
+    assert all(classify_ring(ring_coefficients(d)).kind is RingKind.OTHER for d in systems)
+
+
+def test_positive_formula_disagrees_off_the_c1_line():
+    # The standard quadric weights at non-antipodal moment values fail
+    # the checks, and there the two formulas differ (c_1: 10/11 vs 2).
+    data = expected_weights_quadric([-4, -3, 1, 4])
+    assert [check.name for check in consistency_checks(data) if not check.passed] == [
+        "c1-coefficient",
+        "condition-d",
+        "vanishing-battery",
+    ]
+    plus = _cubic_chern_coefficients(data, positive=True).gamma
+    minus = _cubic_chern_coefficients(data).gamma
+    assert (plus[0], minus[0]) == (Fraction(10, 11), 2)
+    assert minus == chern_coefficients(data).gamma
+
+
+def test_positive_and_negative_scalars_agree_symbolically():
+    # With Lambda_k = K * prod_{j!=k} (Gamma_k - Gamma_j), the relation the
+    # battery proves, both formulas are the same rational function.
+    sympy = pytest.importorskip("sympy")
+    for n in range(2, 5):
+        gs = sympy.symbols(f"G0:{n + 1}")
+        big_k, lambda_minus = sympy.symbols("K m")
+        lambdas = [big_k * prod(gs[k] - gs[j] for j in range(n + 1) if j != k) for k in range(n + 1)]
+        for i in range(1, n + 1):
+            sigma_i = sympy.symbols(f"s0:{i + 1}")
+            plus = _positive_scalar(i, gs, lambdas, lambdas[i] / lambda_minus, sigma_i)
+            minus = _negative_scalar(i, gs, lambda_minus, sigma_i)
+            assert sympy.cancel(plus - minus) == 0, (n, i)
 
 
 def test_sigma_table_invariants():
@@ -303,11 +418,9 @@ def test_gamma1_matches_c1_on_models():
         assert chern_coefficients(data).gamma[0] == c1_coefficient(data)
 
 
-def test_chern_cross_check_on_exceptional_data():
-    # non-model rings exercise both closed forms away from the r = 1, 1/2 patterns;
+def test_chern_on_exceptional_data():
+    # non-model rings exercise the formula away from the r = 1, 1/2 patterns;
     # the top Chern number gamma_n * volume must equal the fixed point count
-    from hamfix import vanishing_battery
-
     data = FixedPointData.from_weights(
         [0, 1, 5, 6], [(1, 2, 3), (-1, 1, 4), (-1, -4, 1), (-1, -2, -3)]
     )
@@ -326,8 +439,6 @@ def test_chern_cross_check_on_exceptional_data():
 
 @given(cpn_b_lists(max_n=5))
 def test_euler_characteristic_from_top_chern(b):
-    from hamfix import vanishing_battery
-
     data = cpn_model(b)
     chi = chern_coefficients(data).gamma[-1] * vanishing_battery(data).volume
     assert chi == data.n + 1
@@ -336,8 +447,6 @@ def test_euler_characteristic_from_top_chern(b):
 def _assert_unimodular_pairing(data):
     # Poincare duality: the generators alpha_i = r_i x^i pair to
     # integral(alpha_i * alpha_{n-i}) = r_i * r_{n-i} * volume = 1.
-    from hamfix import vanishing_battery
-
     r = ring_coefficients(data).r
     volume = vanishing_battery(data).volume
     n = data.n

@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -81,6 +83,32 @@ def test_parse_rejects_zero_denominator():
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert err.value.path == "points[0].phi"
+
+
+def _phi_document(phi):
+    return json.dumps({"n": 1, "points": [{"phi": "0", "weights": [1]}, {"phi": phi, "weights": [-1]}]})
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_parse_refuses_a_phi_past_the_digit_limit_and_keeps_the_rest():
+    limit = sys.get_int_max_str_digits()
+    kept = {
+        "12.5e-3": Fraction(1, 80),
+        "1_0E1_0 ": Fraction(10**11),
+        f"1e{limit - 1}": Fraction(10 ** (limit - 1)),
+        f"2.5e-{limit}": Fraction(1, 4 * 10 ** (limit - 1)),
+        "-0.00e10000000": Fraction(0),  # zero, without building 10**10000000
+    }
+    for phi, value in kept.items():
+        assert parse_document(_phi_document(phi)).data.moment_values[1] == value, phi
+    for phi in (f"1e{limit}", f"1e-{limit}", "3e99999", "9" * limit + ".9", "7e10000000"):
+        with pytest.raises(ParseError, match=r"^points\[1\]\.phi: .*digit limit"):
+            parse_document(_phi_document(phi))
+    # A bad string with a huge exponent keeps the message it had.
+    with pytest.raises(ParseError, match=r"^points\[1\]\.phi: not a rational \"p/q\" string: Invalid literal for Fraction: '1x2e99999'$"):
+        parse_document(_phi_document("1x2e99999"))
 
 
 def test_parse_rejects_non_integral_number():

@@ -223,6 +223,18 @@ def test_fixed_point_refuses_a_bool_or_non_int_index():
         copy.copy(tuple.__new__(FixedPoint, (1.0, 1, (-1,))))
 
 
+def test_fixed_point_data_refuses_points_that_are_not_fixed_points():
+    # An int once raised a bare AttributeError, and a plain tuple a
+    # message naming tuple.index, a bound method.
+    for bad in (1, (0, 0, (1,)), None):
+        with pytest.raises(StructureError, match=rf"^point at position 0 is not a FixedPoint: {re.escape(repr(bad))}$"):
+            FixedPointData(1, (bad, P1))
+    with pytest.raises(StructureError, match=r"^point at position 1 is not a FixedPoint: 2$"):
+        FixedPointData(1, [P0, 2])
+    data = FixedPointData(1, (P0, P1))
+    assert copy.copy(data) == copy.deepcopy(data) == pickle.loads(pickle.dumps(data)) == data
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # pytest itself imports dataclasses, so ask a fresh interpreter.
     code = "import sys, hamfix.cli; print('dataclasses' in sys.modules)"

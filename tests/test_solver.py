@@ -255,6 +255,18 @@ def test_enumerate_budget_exceeded():
         enumerate_weight_systems(spec, [0, 1, 2], budget=0)
 
 
+def test_enumerate_refuses_a_bool_or_non_int_budget():
+    # True and 1.5 once ran as a budget of 1.
+    spec = RingSpec(RingKind.PROJECTIVE_SPACE, 2)
+    for bad in (True, False, 1.5, "1"):
+        with pytest.raises(SpecMismatch, match=rf"^budget must be an integer, got {re.escape(repr(bad))}$"):
+            enumerate_weight_systems(spec, [0, 1, 2], budget=bad)
+        with pytest.raises(SpecMismatch):
+            verify_equivalence(spec, [0, 1, 2], budget=bad)
+    with pytest.raises(SpecMismatch, match=r"^budget must be nonnegative, got -1$"):
+        enumerate_weight_systems(spec, [0, 1, 2], budget=-1)
+
+
 def test_enumerate_too_deep_for_the_recursion_limit_is_a_budget_error():
     # The searches recurse once per point or slot; running out of stack
     # must not escape as a RecursionError.
@@ -553,11 +565,12 @@ def test_verify_quadric_odd_gap_fails_2_implies_4():
 
 def test_verify_reports_an_unmeasurable_standard_system():
     # The standard quadric weights at these non-antipodal moment values
-    # fail the Chern cross-check; that is a FAIL line, not an error.
+    # are off the c1 line, so their ring and Chern classes mean nothing;
+    # every line fails with the first failing check, not an error.
     report = verify_equivalence(RingSpec(RingKind.QUADRIC, 3), [-4, -3, 1, 4])
-    assert not report.passed
-    assert [line.passed for line in report.lines] == [False] * 4
-    assert report.lines[2].detail == "c_1 expressions disagree: 10/11 vs 2"
+    assert not report.passed and report.system_count == 0
+    detail = "standard weight system fails c1-coefficient: pair (0,1) gives 2 but pair (0,2) gives 14/5"
+    assert [(line.passed, line.detail) for line in report.lines] == [(False, detail)] * 4
 
 
 def test_verify_rejects_other_rings():
