@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .cohomology import RingKind, RingSpec, chern_coefficients, classify_ring, ring_coefficients
-from .core import FixedPointData
+from .core import FixedPointData, rat
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .models import cpn_model, quadric_model
@@ -107,8 +106,8 @@ def _ring_spec(args) -> tuple[RingSpec, list[int]]:
     r = None
     if args.r is not None:  # a model ring refuses it in RingSpec
         try:
-            r = tuple(Fraction(part.strip()) for part in args.r.split(","))
-        except (ValueError, ZeroDivisionError):
+            r = tuple(rat(part.strip()) for part in args.r.split(","))
+        except ParseError:
             raise ParseError("--r", f"expected comma-separated rationals, got {args.r!r}") from None
     return RingSpec(_RINGS[args.ring], len(phis) - 1, r), phis
 

@@ -70,12 +70,10 @@ class RingSpec(namedtuple("RingSpec", "kind n r")):
     def r_sequence(self) -> tuple[Fraction, ...]:
         """The generator ratios r_0..r_n this ring prescribes."""
         if self.kind is RingKind.PROJECTIVE_SPACE:
-            return tuple(Fraction(1) for _ in range(self.n + 1))
+            return (Fraction(1),) * (self.n + 1)
         if self.kind is RingKind.QUADRIC:
             half = (self.n + 1) // 2
-            return tuple(
-                Fraction(1) if i < half else Fraction(1, 2) for i in range(self.n + 1)
-            )
+            return (Fraction(1),) * half + (Fraction(1, 2),) * (self.n + 1 - half)
         assert self.r is not None
         return self.r
 

@@ -15,29 +15,59 @@ instead of raising, so a single pass can name all problems in a file.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import StructureError
+from .errors import ParseError, StructureError
 
 RatLike = Union[int, Fraction, str]
+
+# "<mantissa>e<exponent>" as Fraction reads it, with trailing space.
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)(\s*)", re.IGNORECASE | re.DOTALL)
 
 
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
+    An exact ``Fraction`` is returned itself; a malformed string raises ``ParseError``.
+
     >>> rat("3/2")
     Fraction(3, 2)
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = value[1:] if value[:1] == "-" else value
+    if digits.isdigit() and digits.isascii() and (not limit or len(digits) <= limit):
+        return Fraction(int(value))  # a plain integer, as Fraction reads it
+    try:
+        m = _EXPONENT.fullmatch(value) if limit else None
+        if m and abs(int(m[2])) > limit + len(m[1]):
+            # Fraction would build 10**|exponent|; past this bound the value
+            # is 0 or passes the limit, so read it with exponent 0 first.
+            try:
+                if Fraction(f"{m[1]}e0{m[3]}") == 0:
+                    return Fraction(0)
+                raise ParseError("", f"exponent {m[2]} exceeds the {limit}-digit limit")
+            except ValueError:  # then Fraction(value) fails too, at once
+                pass
+        out = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError("", f"not a rational \"p/q\" string: {exc}") from None
+    big = max(abs(out.numerator), out.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ParseError("", f"numerator or denominator past the {limit}-digit limit")
+    return out
 
 
 class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
@@ -57,7 +87,7 @@ class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
         moment_value = rat(moment_value)
         weights = tuple(weights)  # a one-shot iterable is read once
         for w in weights:
-            if isinstance(w, bool) or not isinstance(w, int):
+            if type(w) is not int and (isinstance(w, bool) or not isinstance(w, int)):
                 raise StructureError(f"weight {w!r} at point {index} is not an integer")
         return super().__new__(cls, index, moment_value, tuple(sorted(weights)))
 

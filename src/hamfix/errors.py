@@ -31,11 +31,11 @@ class InconsistentGamma(HamfixError):
 
 
 class ParseError(HamfixError):
-    """A document could not be parsed.
+    """A document or a rational string could not be parsed.
 
-    ``path`` names the offending JSON location, e.g. ``points[1].phi``.
+    ``path`` names the JSON location, e.g. ``points[1].phi``, or is "" (``rat``).
     """
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)

@@ -520,11 +520,8 @@ def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
 
     keys.sort()
     covered = {(j, i) for j, i, _, _ in keys}
-    missing = tuple(
-        (j, i)
-        for j in range(n + 1)
-        for i in range(j + 1, n + 1)
-        if (j, i) not in covered
+    missing = () if len(covered) == n * (n + 1) // 2 else tuple(  # covered holds only j < i
+        (j, i) for j in range(n + 1) for i in range(j + 1, n + 1) if (j, i) not in covered
     )
     edges = tuple(SphereEdge(j, i, w, not unpaired) for j, i, w, unpaired in keys)
     return GradientSphereGraph(n, edges, tuple(ambiguous), missing)

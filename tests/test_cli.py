@@ -354,6 +354,19 @@ def test_solve_other_refuses_a_meaningless_r_sequence(capsys, r, phi, detail):
     assert captured.err == f"error: r-sequence entry {detail}\n"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_solve_refuses_a_huge_r_exponent_at_once(capsys):
+    # --r once went through a bare Fraction, which built 10**10000000, and
+    # the search then ran for about 10 s and exited 0.
+    r = "1,1,1e10000000"
+    assert main(["solve", "--ring", "other", "--r", r, "--phi", "0,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --r: expected comma-separated rationals, got {r!r}\n"
+
+
 def test_model_ring_refuses_r(capsys):
     # --r is read whenever it is given, and a model ring takes none
     for argv, kind in (

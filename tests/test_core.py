@@ -1,3 +1,6 @@
+import enum
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,10 @@ from hypothesis import given
 from hamfix import (
     FixedPoint,
     FixedPointData,
+    HamfixError,
+    ParseError,
+    RingKind,
+    RingSpec,
     StructureError,
     cpn_model,
     quadric_model,
@@ -29,6 +36,78 @@ def test_rat_rejects_bool_and_garbage():
         rat(True)
     with pytest.raises(TypeError):
         rat(1.5)
+
+
+def test_rat_returns_an_exact_fraction_itself_and_converts_a_subclass():
+    half = Fraction(1, 2)
+    assert rat(half) is half
+
+    class Tagged(Fraction):
+        pass
+
+    value = rat(Tagged(6, 4))
+    assert type(value) is Fraction and value == Fraction(3, 2)
+
+
+def _string_corpus():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    corpus = ["5", "-5", "+5", "-0", "05", " 5 ", "1_000", "\u0665", "", "-", "--5", "0x10"]
+    corpus += ["3/2", "-6/4", "1/0", " 2.5e-3 ", "x", "1e5"]
+    for digits in (limit - 1, limit, limit + 1):
+        corpus += ["9" * digits, "-" + "9" * digits]
+    return corpus
+
+
+def test_rat_reads_a_string_as_fraction_does():
+    # The plain-integer fast path must not change a value or an error text:
+    # "+5", " 5 ", "1_000" and "\u0665" (Arabic-Indic five) leave it, and so
+    # does a digit string past the int digit limit.
+    for text in _string_corpus():
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ParseError) as err:
+                rat(text)
+            assert str(err.value) == f'not a rational "p/q" string: {exc}', text[:20]
+        else:
+            value = rat(text)
+            assert type(value) is Fraction and value == expected, text[:20]
+
+
+def test_a_malformed_rational_string_is_a_hamfix_error():
+    # rat("x") once raised ValueError and rat("1/0") ZeroDivisionError, and
+    # from_weights and RingSpec passed both on.
+    for text, detail in (("x", "Invalid literal for Fraction: 'x'"), ("1/0", "Fraction(1, 0)")):
+        message = f'^not a rational "p/q" string: {re.escape(detail)}$'
+        for build in (
+            lambda: rat(text),
+            lambda: FixedPointData.from_weights([0, text], [(1,), (-1,)]),
+            lambda: RingSpec(RingKind.OTHER, 1, (1, text)),
+        ):
+            with pytest.raises(ParseError, match=message) as err:
+                build()
+            assert isinstance(err.value, HamfixError) and err.value.path == ""
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_rat_refuses_a_huge_exponent_before_building_the_value():
+    # rat("1e10000000") once built 10**10000000, for about 12 s.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match=rf"^exponent 10000000 exceeds the {limit}-digit limit$"):
+        rat("1e10000000")
+    assert rat("-0.0e10000000") == 0
+
+
+class _Weight(enum.IntEnum):
+    THREE = 3
+
+
+def test_fixed_point_keeps_int_subclass_weights_and_refuses_bools():
+    assert FixedPoint(0, 0, (_Weight.THREE, -1)).weights == (-1, 3)
+    with pytest.raises(StructureError, match=r"^weight True at point 2 is not an integer$"):
+        FixedPoint(2, 0, (1, True))
 
 
 def test_fixed_point_sorts_weights():

@@ -1,12 +1,14 @@
+import enum
 import json
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfix import (
+    FixedPointData,
     InputDocument,
     ParseError,
     cpn_model,
@@ -193,6 +195,50 @@ def test_save_keeps_the_old_file_when_serializing_fails(tmp_path):
     with pytest.raises(TypeError):
         save_document(InputDocument(cpn_model((0, 1)), {"k": {1, 2}}), str(path))
     assert path.read_text(encoding="utf-8") == CANONICAL_CP2
+
+
+def _json_dumps_renderer(doc):
+    # The renderer serialize_document had before it formatted point lines
+    # itself: each point through json.dumps.  The oracle for its bytes.
+    point_lines = ",\n".join(
+        "    " + json.dumps({"phi": str(p.moment_value), "weights": list(p.weights)})
+        for p in doc.data.points
+    )
+    text = "{\n" + f'  "n": {doc.data.n},\n' + '  "points": [\n' + point_lines + "\n  ]"
+    if doc.meta is not None:
+        text += ',\n  "meta": ' + json.dumps(doc.meta, sort_keys=True)
+    return text + "\n}\n"
+
+
+class _Weight(enum.IntEnum):
+    THREE = 3
+
+
+@st.composite
+def _documents(draw):
+    """Data of every shape a document holds: negative and fractional
+    moment values, big and int-subclass weights, unicode meta."""
+    n = draw(st.integers(1, 5))
+    phi = st.one_of(
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+        st.integers(-(10**40), 10**40).map(Fraction),
+    )
+    weight = st.one_of(st.integers(-(10**30), 10**30), st.just(_Weight.THREE))
+    data = FixedPointData.from_weights(
+        draw(st.lists(phi, min_size=n + 1, max_size=n + 1)),
+        draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=n + 1, max_size=n + 1)),
+    )
+    value = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6))
+    meta = st.one_of(st.none(), st.dictionaries(st.text(max_size=6), value, max_size=3))
+    return InputDocument(data, draw(meta))
+
+
+@settings(max_examples=60)
+@given(_documents())
+def test_serialize_has_the_bytes_of_the_json_dumps_renderer(doc):
+    text = serialize_document(doc)
+    assert text == _json_dumps_renderer(doc)
+    assert parse_document(text) == doc
 
 
 @given(cpn_b_lists())

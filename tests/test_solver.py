@@ -658,7 +658,7 @@ def test_gradient_graph_quadric3_antipodal_edge():
 def test_gradient_graph_case1_flags():
     data = FixedPointData.from_weights([0, 1, 5, 6], CASE1_WEIGHTS)
     graph = gradient_graph(data)
-    assert (0, 2) in graph.missing_pairs
+    assert graph.missing_pairs == ((0, 2), (1, 3))
     assert len(graph.edges_between(0, 3)) == 2
     assert {e.weight for e in graph.edges_between(0, 3)} == {2, 3}
 
@@ -774,6 +774,24 @@ def test_gradient_graph_upward_pass_matches_the_all_pairs_reference(data):
     # Same edges, ambiguous weights and missing pairs in the same order,
     # or the same exception class and text.
     assert outcome(gradient_graph, data) == outcome(_all_pairs_gradient_graph, data)
+
+
+@settings(max_examples=300)
+@given(st.one_of(read_path_data(), model_data(max_n=9), repeated_weight_data()))
+@example(FixedPointData.from_weights([0, 1, 5, 6], CASE1_WEIGHTS))
+def test_gradient_graph_missing_pairs_are_the_pairs_no_edge_joins(data):
+    # missing_pairs skips its scan when the edges cover n(n+1)/2 pairs.
+    # CASE1 has that many edges, but two join P_0 and P_3, so two pairs
+    # are missing and the scan must run.
+    try:
+        graph = gradient_graph(data)
+    except StructureError:  # a zero weight
+        return
+    n = data.n
+    brute = tuple(
+        (j, i) for j in range(n + 1) for i in range(j + 1, n + 1) if not graph.edges_between(j, i)
+    )
+    assert graph.missing_pairs == brute
 
 
 def test_gradient_graph_nearest_open_pole_is_the_closest_first_greedy():
