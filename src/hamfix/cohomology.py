@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm, prod
 
-from .core import FixedPointData, rat
+from .core import FixedPointData, _integer_moments, rat
 from .errors import HamfixError, NonConstantC1, NonPositiveC1, SpecMismatch
 
 
@@ -120,9 +120,7 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
     and for error messages.
     """
     gs = [p.gamma for p in data.points]
-    phis = data.moment_values
-    q = lcm(*(phi.denominator for phi in phis))
-    u = [phi.numerator * (q // phi.denominator) for phi in phis]
+    q, u = _integer_moments(data)
     g0, u0 = gs[0], u[0]
     rise, run = g0 - gs[1], u[1] - u0  # C = q * rise / run
     for j in range(1, data.n + 1):

@@ -19,7 +19,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, StructureError
@@ -180,6 +180,12 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
     def normalized(self) -> "FixedPointData":
         """Translate so the smallest moment value is 0."""
         return self.translated(-self.points[0].moment_value)
+
+
+def _integer_moments(data: FixedPointData) -> tuple[int, list[int]]:
+    """(q, u): q the lcm of the moment value denominators, u_P = q * phi_P."""
+    q = lcm(*(p.moment_value.denominator for p in data.points))
+    return q, [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
 
 
 class Violation(namedtuple("Violation", "rule point message")):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import FixedPointData, RatLike, rat
+from .core import FixedPointData, RatLike, _integer_moments, rat
 
 
 def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
@@ -74,9 +74,9 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     n = data.n
     lambdas = [p.lambda_all for p in data.points]
     big_l = lcm(*lambdas)
-    q = lcm(*(p.moment_value.denominator for p in data.points))
+    q, u = _integer_moments(data)
+    u = [-x for x in u]
     m = [big_l // lam for lam in lambdas]
-    u = [-p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
     gs = [p.gamma for p in data.points]
 
     row = [sum(m)]  # s_b = sum_P m_P * u_P^b

@@ -18,18 +18,22 @@ call ``expected_weights_*``: one construction path per ring.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import FixedPoint, FixedPointData
 from .errors import SpecMismatch, StructureError
 
 
-def _check_increasing_ints(phis: Sequence[int]) -> list[int]:
-    out = []
-    for v in phis:
+def _ints(values: Iterable[int], what: str, error: type = SpecMismatch) -> list[int]:
+    out = list(values)
+    for v in out:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise SpecMismatch(f"moment values must be integers, got {v!r}")
-        out.append(v)
+            raise error(f"{what} must be integers, got {v!r}")
+    return out
+
+
+def _check_increasing_ints(phis: Sequence[int]) -> list[int]:
+    out = _ints(phis, "moment values")
     for a, b in zip(out, out[1:]):
         if b <= a:
             raise SpecMismatch(f"moment values must be strictly increasing: {a} then {b}")
@@ -41,12 +45,13 @@ def _check_increasing_ints(phis: Sequence[int]) -> list[int]:
 def cpn_model(b: Sequence[int]) -> FixedPointData:
     """Projective space fixed point data for exponents ``b``.
 
-    ``b`` is sorted ascending first; P_i then has moment value b_i and
-    weights {b_j - b_i : j != i}.
+    ``b`` (distinct ints, not bools) is sorted ascending first; P_i then
+    has moment value b_i and weights {b_j - b_i : j != i}.
     """
-    bs = sorted(b)
+    given = _ints(b, "exponents")
+    bs = sorted(given)
     if len(set(bs)) != len(bs):
-        raise SpecMismatch(f"exponents must be pairwise distinct, got {list(b)}")
+        raise SpecMismatch(f"exponents must be pairwise distinct, got {given}")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
     return expected_weights_cpn(bs)
@@ -55,16 +60,17 @@ def cpn_model(b: Sequence[int]) -> FixedPointData:
 def quadric_model(b: Sequence[int]) -> FixedPointData:
     """Oriented 2-plane Grassmannian data for rotation exponents ``b``.
 
-    ``b`` holds (n+1)/2 nonzero integers with pairwise distinct absolute
-    values; signs are absorbed (reorienting a plane) and the values are
-    used as b_0 > b_1 > ... > 0, which lists the moment values
+    ``b`` holds (n+1)/2 nonzero ints (not bools) with pairwise distinct
+    absolute values; signs are absorbed (reorienting a plane) and the
+    values are used as b_0 > b_1 > ... > 0, which lists the moment values
     -b_0 < ... < -b_last < b_last < ... < b_0 in increasing order.
     """
-    if any(v == 0 for v in b):
+    given = _ints(b, "exponents")
+    if 0 in given:
         raise SpecMismatch("exponents must be nonzero")
-    bs = sorted((abs(v) for v in b), reverse=True)
+    bs = sorted((abs(v) for v in given), reverse=True)
     if len(set(bs)) != len(bs):
-        raise SpecMismatch(f"exponents must have distinct absolute values, got {list(b)}")
+        raise SpecMismatch(f"exponents must have distinct absolute values, got {given}")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
     return expected_weights_quadric([-v for v in bs] + bs[::-1])

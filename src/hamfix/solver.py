@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Sequence
 
 from .cohomology import (
@@ -39,7 +39,7 @@ from .cohomology import (
     reference_chern,
     ring_coefficients,
 )
-from .core import FixedPointData, validate
+from .core import FixedPointData, _integer_moments, validate
 from .errors import (
     HamfixError,
     InconsistentGamma,
@@ -48,7 +48,7 @@ from .errors import (
     StructureError,
 )
 from .localization import vanishing_battery
-from .models import _check_increasing_ints, expected_weights_cpn, expected_weights_quadric
+from .models import _check_increasing_ints, _ints, expected_weights_cpn, expected_weights_quadric
 
 DEFAULT_BUDGET = 200_000
 _EXPECTED_WEIGHTS = {
@@ -107,35 +107,31 @@ def _negative_assignments(
         reach[j] = reach[j + 1] * -gaps[j]
 
     results: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def keep(assignment: tuple[int, ...]):
-        results.append(assignment)
-        if len(results) > budget:
-            raise SearchBudgetExceeded(
-                f"more than {budget} weight assignments at one point"
-            )
-
-    def extend(j: int, remaining: int):
-        # Entered with remaining <= reach[j].
-        if j == k - 1:
-            if reach[j] % remaining == 0:
-                keep((*stack, -remaining))
-            return
-        row = choices[j]
-        least = -(-remaining // reach[j + 1])
-        for d in row[bisect_left(row, least) : bisect_right(row, remaining)]:
-            if remaining % d == 0:
-                stack.append(-d)
-                extend(j + 1, remaining // d)
-                stack.pop()
-
+    path = [0] * k  # path[:j] holds the weights of the branch at slot j
+    # (slot j, product still to place, weight at slot j-1), each entered
+    # with the product at most reach[j].  Children are pushed in reverse,
+    # so they pop in ascending-divisor order.
     t = abs(target)
-    if t <= reach[0]:
-        if k:
-            extend(0, t)
-        else:
-            keep(())
+    stack = [(0, t, 0)] if t <= reach[0] else []
+    while stack:
+        j, remaining, w = stack.pop()
+        if j:
+            path[j - 1] = w
+        if j < k - 1:
+            row = choices[j]
+            least = -(-remaining // reach[j + 1])
+            for d in reversed(row[bisect_left(row, least) : bisect_right(row, remaining)]):
+                if remaining % d == 0:
+                    stack.append((j + 1, remaining // d, -d))
+            continue
+        if j == k - 1:  # else k == 0 and the target is 1
+            # The last slot takes what is left if it divides its gap.
+            if reach[j] % remaining:
+                continue
+            path[j] = -remaining
+        results.append(tuple(path))
+        if len(results) > budget:
+            raise SearchBudgetExceeded(f"more than {budget} weight assignments at one point")
     return results
 
 
@@ -202,23 +198,24 @@ def enumerate_weight_systems(
     The targets are exact ints (a point whose target is not an integer
     has no assignment), and each point's assignments come from the
     two-sided divisor search of ``_negative_assignments``.  They are
-    placed depth first from P_n down to P_1.  Placing P_i forces its
-    weight to P_{i-1}, whose positive product it completes, and for
-    i <= n-2 its weight sum, since Gamma_i must lie on the line that
-    Gamma_n and Gamma_{n-1} fix; so each placement reads one bucket of
-    an index built once per call, in list order.  A placement is cut when
-    P_{i-1}'s positive target is not a multiple of its product so far,
-    when C <= 0, or when Gamma_0 leaves the line.  A full placement so
-    passes ``validate`` (increasing integer moment values, divisor
-    weights, i negative weights at P_i) and condition D (every Gamma_i on
-    one line of positive C) by construction, and its Lambda_i is
-    r_i * r_{n-i} * prod_{j!=i} (phi_j - phi_i).  On that line the
-    battery is the row sum_i phi_i^b / Lambda_i (b < n), whose kernel is
-    spanned by 1 / prod_{j!=i} (phi_i - phi_j); so it passes, with volume
-    1 / r_n, exactly when r_i * r_{n-i} = r_n for every i (Poincare
-    duality).  A ring without duality returns [], and nothing is checked
-    after assembly.  The result is deduplicated and sorted by flattened
-    weight lists.
+    placed depth first from P_n down to P_1, on a stack that holds at
+    most one bucket per level, so no larger than the per-point lists.
+    Placing P_i forces its weight to P_{i-1}, whose positive product it
+    completes, and for i <= n-2 its weight sum, since Gamma_i must lie
+    on the line that Gamma_n and Gamma_{n-1} fix; so each placement
+    reads one bucket of an index built once per call, in list order.  A
+    placement is cut when P_{i-1}'s positive target is not a multiple of
+    its product so far, when C <= 0, or when Gamma_0 leaves the line.  A
+    full placement so passes ``validate`` (increasing integer moment
+    values, divisor weights, i negative weights at P_i) and condition D
+    (every Gamma_i on one line of positive C) by construction, and its
+    Lambda_i is r_i * r_{n-i} * prod_{j!=i} (phi_j - phi_i).  On that
+    line the battery is the row sum_i phi_i^b / Lambda_i (b < n), whose
+    kernel is spanned by 1 / prod_{j!=i} (phi_i - phi_j); so it passes,
+    with volume 1 / r_n, exactly when r_i * r_{n-i} = r_n for every i
+    (Poincare duality).  A ring without duality returns [], and nothing
+    is checked after assembly.  The result is deduplicated and sorted by
+    flattened weight lists.
 
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
@@ -226,10 +223,9 @@ def enumerate_weight_systems(
     ``budget`` (a nonnegative int, default 200000; ``--budget`` on the
     command line) caps both the assignments found at one point and the
     number of combinations of them (the product of the per-point counts);
-    exceeding either raises SearchBudgetExceeded rather than truncating,
-    as does a search deeper than the recursion limit.  Every point is
-    searched before the combinations are counted, and neither count
-    depends on the bounds or the lookup.
+    exceeding either raises SearchBudgetExceeded rather than truncating.
+    Every point is searched before the combinations are counted, and
+    neither count depends on the bounds or the lookup.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
@@ -253,80 +249,72 @@ def enumerate_weight_systems(
         q, rest = divmod(r[i].numerator * gap_product, r[i].denominator)
         return None if rest else q
 
-    try:
-        # Moment values in arithmetic progression repeat a gap over many
-        # slots, so each distinct gap's divisors are listed once per call.
-        divisors: dict[int, list[int]] = {}
-        per_point: list[list[tuple[int, ...]]] = []
-        for i in range(1, n + 1):
-            gaps = [vals[j] - vals[i] for j in range(i)]
-            target = exact(i, prod(gaps))
-            per_point.append(
-                [] if target is None else _negative_assignments(gaps, target, budget, divisors)
-            )
+    # Moment values in arithmetic progression repeat a gap over many
+    # slots, so each distinct gap's divisors are listed once per call.
+    divisors: dict[int, list[int]] = {}
+    per_point: list[list[tuple[int, ...]]] = []
+    for i in range(1, n + 1):
+        gaps = [vals[j] - vals[i] for j in range(i)]
+        target = exact(i, prod(gaps))
+        per_point.append(
+            [] if target is None else _negative_assignments(gaps, target, budget, divisors)
+        )
 
-        total = prod(len(a) for a in per_point)
-        if total > budget:
-            raise SearchBudgetExceeded(
-                f"{total} candidate systems exceed the budget of {budget}"
-            )
+    total = prod(len(a) for a in per_point)
+    if total > budget:
+        raise SearchBudgetExceeded(f"{total} candidate systems exceed the budget of {budget}")
 
-        # A positive product is a product of divisors, so an integer; with
-        # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
-        pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
-        if None in pos or any(r[i] * r[n - i] != r[n] for i in range(n + 1)):
-            return []
-        top_gap = vals[n] - vals[n - 1]
+    # A positive product is a product of divisors, so an integer; with
+    # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
+    pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
+    if None in pos or any(r[i] * r[n - i] != r[n] for i in range(n + 1)):
+        return []
+    top_gap = vals[n] - vals[n - 1]
 
-        # Key each assignment by what a placement forces: its last weight,
-        # and its sum too below P_{n-1}.  A bucket keeps list order.
-        buckets: list[dict] = []
-        for i, assignments in enumerate(per_point, start=1):
-            by_key: dict = {}
-            for a in assignments:
-                by_key.setdefault((a[-1], sum(a)) if i <= n - 2 else a[-1], []).append(a)
-            buckets.append(by_key)
+    # Key each assignment by what a placement forces: its last weight,
+    # and its sum too below P_{n-1}.  A bucket keeps list order.
+    buckets: list[dict] = []
+    for i, assignments in enumerate(per_point, start=1):
+        by_key: dict = {}
+        for a in assignments:
+            by_key.setdefault((a[-1], sum(a)) if i <= n - 2 else a[-1], []).append(a)
+        buckets.append(by_key)
 
-        unique: dict[tuple, FixedPointData] = {}
-        placed: list[tuple[int, ...]] = [()] * n
-
-        def place(i: int, products: list[int], gammas: list[int]):
-            # P_n..P_{i+1} are placed; products[j] (j < i) and gammas[j] are
-            # the positive product and weight sum at P_j so far.
-            if i == 0:
-                data = _assemble(vals, placed, n)
-                unique.setdefault(tuple(p.weights for p in data.points), data)
-                return
-            # P_i's weight to P_{i-1} completes P_{i-1}'s positive product.
-            key, rest = divmod(-pos[i - 1], products[i - 1])
+    unique: dict[tuple, FixedPointData] = {}
+    # (i, the assignments of P_{i+1}..P_n, products, gammas): products[j]
+    # (j < i) and gammas[j] are the positive product and weight sum at P_j
+    # so far.  A bucket is pushed in reverse, so it pops in list order.
+    stack = [(n, (), [1] * n, [0] * (n + 1))]
+    while stack:
+        i, placed, products, gammas = stack.pop()
+        if i == 0:
+            data = _assemble(vals, placed, n)
+            unique.setdefault(tuple(p.weights for p in data.points), data)
+            continue
+        # P_i's weight to P_{i-1} completes P_{i-1}'s positive product.
+        key, rest = divmod(-pos[i - 1], products[i - 1])
+        if rest:
+            continue
+        if i <= n - 2:
+            # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
+            # C = (Gamma_{n-1} - Gamma_n) / top_gap.
+            offset, rest = divmod((gammas[n - 1] - gammas[n]) * (vals[n] - vals[i]), top_gap)
             if rest:
-                return
-            if i <= n - 2:
-                # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
-                # C = (Gamma_{n-1} - Gamma_n) / top_gap.
-                offset, rest = divmod((gammas[n - 1] - gammas[n]) * (vals[n] - vals[i]), top_gap)
-                if rest:
-                    return
-                key = (key, gammas[n] + offset - gammas[i])
-            for assignment in buckets[i - 1].get(key, ()):
-                # P_j (j < i) gains the positive weight -w.
-                below = [p * -w for p, w in zip(products, assignment)]
-                sums = [g - w for g, w in zip(gammas, assignment)]
-                sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
-                # C = (Gamma_{n-1} - Gamma_n) / top_gap must be positive (at n = 1,
-                # P_1's one weight is negative), and Gamma_0 must lie on the line.
-                rise = sums[n - 1] - sums[n]
-                if i == n - 1 and rise <= 0:
-                    continue
-                if i == 1 and (sums[0] - sums[n]) * top_gap != rise * (vals[n] - vals[0]):
-                    continue
-                placed[i - 1] = assignment
-                place(i - 1, below, sums)
-
-        place(n, [1] * n, [0] * (n + 1))
-    except RecursionError:
-        # place and _negative_assignments recurse once per point or slot.
-        raise SearchBudgetExceeded(f"n = {n} is too deep for the recursive search") from None
+                continue
+            key = (key, gammas[n] + offset - gammas[i])
+        for assignment in reversed(buckets[i - 1].get(key, ())):
+            # P_j (j < i) gains the positive weight -w.
+            below = [p * -w for p, w in zip(products, assignment)]
+            sums = [g - w for g, w in zip(gammas, assignment)]
+            sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
+            # C = (Gamma_{n-1} - Gamma_n) / top_gap must be positive (at n = 1,
+            # P_1's one weight is negative), and Gamma_0 must lie on the line.
+            rise = sums[n - 1] - sums[n]
+            if i == n - 1 and rise <= 0:
+                continue
+            if i == 1 and (sums[0] - sums[n]) * top_gap != rise * (vals[n] - vals[0]):
+                continue
+            stack.append((i - 1, (assignment,) + placed, below, sums))
     return [unique[k] for k in sorted(unique)]
 
 
@@ -408,9 +396,9 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
 
     The multisets at the inferred moment values must then pass every
     ``consistency_checks`` check; otherwise InconsistentGamma names the
-    first failing check and its detail.
+    first failing check and its detail, as it names a non-int weight.
     """
-    multisets = [tuple(sorted(ws)) for ws in weight_multisets]
+    multisets = [tuple(sorted(_ints(ws, "weights", InconsistentGamma))) for ws in weight_multisets]
     n = len(multisets) - 1
     if n < 1:
         raise InconsistentGamma("need at least two weight multisets")
@@ -484,8 +472,7 @@ def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
     edge at all.  A zero weight raises StructureError.
     """
     n = data.n
-    q = lcm(*(p.moment_value.denominator for p in data.points))
-    u = [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
+    q, u = _integer_moments(data)
     # (|w|, residue of u mod q*|w|) -> the points below with an open +w, nearest last
     open_poles: dict[tuple[int, int], list[int]] = {}
     keys: list[tuple[int, int, int, bool]] = []  # (lower, upper, |w|, not paired)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +51,14 @@ def test_quadric_model_q3():
 
 def test_quadric_model_absorbs_signs_and_order():
     assert quadric_model((-1, 2)) == quadric_model((2, 1))
+
+
+@pytest.mark.parametrize("model", [cpn_model, quadric_model])
+@pytest.mark.parametrize("b, bad", [([True, 2], True), (["a"], "a"), (["a", 1], "a"), ([1, 2.0], 2.0)])
+def test_model_exponents_must_be_ints(model, b, bad):
+    # Checked first: a bool is not read as 1, and a str or float raises no TypeError.
+    with pytest.raises(SpecMismatch, match=rf"^exponents must be integers, got {re.escape(repr(bad))}$"):
+        model(b)
 
 
 def test_quadric_model_errors():

@@ -267,16 +267,17 @@ def test_enumerate_refuses_a_bool_or_non_int_budget():
         enumerate_weight_systems(spec, [0, 1, 2], budget=-1)
 
 
-def test_enumerate_too_deep_for_the_recursion_limit_is_a_budget_error():
-    # The searches recurse once per point or slot; running out of stack
-    # must not escape as a RecursionError.
+def test_enumerate_deeper_than_the_recursion_limit():
+    # Both searches are loops, so a search 200 points and slots deep
+    # needs no stack frame per level.
+    expected = [cpn_model(range(201))]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:
-        with pytest.raises(SearchBudgetExceeded, match=r"^n = 200 is too deep"):
-            enumerate_weight_systems(RingSpec(RingKind.PROJECTIVE_SPACE, 200), range(201))
+        found = enumerate_weight_systems(RingSpec(RingKind.PROJECTIVE_SPACE, 200), range(201))
     finally:
         sys.setrecursionlimit(limit)
+    assert found == expected
 
 
 def test_enumerate_budget_caps_the_combinations_exactly():
@@ -599,6 +600,13 @@ def test_infer_round_trip_on_model():
 def test_infer_orders_by_weight_sum():
     shuffled = [CASE1_WEIGHTS[2], CASE1_WEIGHTS[0], CASE1_WEIGHTS[3], CASE1_WEIGHTS[1]]
     assert infer_moment_values(shuffled) == [0, 1, 5, 6]
+
+
+@pytest.mark.parametrize("bad", ["a", -1.0, True])
+def test_infer_rejects_a_weight_that_is_not_an_int(bad):
+    # Neither a TypeError from deep inside nor a bool read as 1.
+    with pytest.raises(InconsistentGamma, match=rf"^weights must be integers, got {re.escape(repr(bad))}$"):
+        infer_moment_values([[1], [bad]])
 
 
 def test_infer_rejects_tied_gamma():
