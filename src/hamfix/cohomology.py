@@ -45,7 +45,8 @@ class RingKind(enum.Enum):
 
 class RingSpec(namedtuple("RingSpec", "kind n r")):
     """A target cohomology ring: projective space, odd quadric, or a bare
-    r-sequence for anything else, its entries coerced with ``rat``."""
+    r-sequence (a list or tuple) for anything else, its entries coerced
+    with ``rat``."""
 
     __slots__ = ()
 
@@ -57,6 +58,8 @@ class RingSpec(namedtuple("RingSpec", "kind n r")):
         if kind is RingKind.QUADRIC and (n < 3 or n % 2 == 0):
             raise SpecMismatch(f"quadric ring requires odd n >= 3, got n = {n}")
         if kind is RingKind.OTHER:
+            if r is not None and not isinstance(r, (list, tuple)):
+                raise SpecMismatch(f"r-sequence must be a list or tuple, got {r!r}")
             if r is None or len(r) != n + 1:
                 raise SpecMismatch("Other ring needs an explicit r-sequence of length n+1")
             r = tuple(rat(v) for v in r)

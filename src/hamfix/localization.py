@@ -2,20 +2,20 @@
 
 For an equivariant class whose restriction to P is a_P * t^d, the
 localization sum is  sum_P a_P / Lambda_P  with Lambda_P the product of
-all weights at P.  Classes of degree 2d < 2n integrate to zero, so the
-sums over monomials in the two canonical degree-2 classes (the
-equivariant first Chern class, restricting to Gamma_P * t, and the
-equivariant symplectic class, restricting to -phi(P) * t) must all
-vanish below the top degree.  The full battery of those vanishing
-identities is a cheap, strong consistency filter for candidate data;
-the top power of the symplectic class recovers the symplectic volume,
-which must be positive.
+all weights at P (Atiyah-Bott 1984, Berline-Vergne 1982).  Classes of
+degree 2d < 2n integrate to zero, so the sums over monomials in the two
+canonical degree-2 classes (the equivariant first Chern class,
+restricting to Gamma_P * t, and the equivariant symplectic class,
+restricting to -phi(P) * t) must all vanish below the top degree; the
+top power of the symplectic class gives the symplectic volume, which
+must be positive.
 
-On the c1 line (condition D: Gamma_P = -C * phi(P) + d) the first Chern
-class is C * [omega] + d * t, so the battery reduces exactly to its row
-of powers of omega and costs O(n^2), not O(n^3) (see
-``vanishing_battery``).  ``abbv_sum`` is the direct rational sum over
-arbitrary restrictions.
+With b_2 = 1 the first Chern class is C * [omega] + d * t, which is the
+c1 line Gamma_P = -C * phi(P) + d (condition D).  On it every monomial
+identity is a combination of the row of powers of omega, so the
+battery is that row, O(n^2); off it condition D has already failed and
+the battery is not defined (see ``vanishing_battery``).  ``abbv_sum`` is
+the direct rational sum over arbitrary restrictions.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .cohomology import _affine_fit
 from .core import FixedPointData, RatLike, _integer_moments, rat
 
 
@@ -53,50 +54,35 @@ class BatteryReport(namedtuple("BatteryReport", "n failures volume")):
 
 
 def vanishing_battery(data: FixedPointData) -> BatteryReport:
-    """Evaluate every monomial localization identity below the top degree.
+    """Evaluate the localization identities below the top degree.
 
-    For every pair (a, b) with a + b < n the sum
-    sum_P Gamma_P^a * (-phi_P)^b / Lambda_P must vanish; failures are
-    listed in lexicographic (a, b) order.  The report also carries the
-    top value V = sum_P (-phi_P)^n / Lambda_P, the symplectic volume,
-    which must be positive for the battery to pass.
+    The battery is defined on the c1 line (condition D), tested by the
+    ``_affine_fit`` that ``c1_coefficient`` uses: a zero weight raises
+    StructureError, and data off the line raises that fit's
+    NonConstantC1 or NonPositiveC1, with the text ``c1_coefficient``
+    gives.  On the line Gamma_P = C * (-phi_P) + d, so every sum
+    sum_P Gamma_P^a * (-phi_P)^b / Lambda_P with a + b < n is a rational
+    combination of the row s_k = sum_P (-phi_P)^k / Lambda_P, k <= a + b:
+    all of them vanish exactly when s_0..s_{n-1} do.  The failures are
+    the nonzero s_b (b < n), as pairs (0, b) in increasing b.  The report
+    also carries the top value V = sum_P (-phi_P)^n / Lambda_P, the
+    symplectic volume, which must be positive for the battery to pass.
 
     With L = lcm(Lambda_P), q the lcm of the moment value denominators,
-    m_P = L / Lambda_P and u_P = -phi_P * q (all integers), each sum is
-    (sum_P m_P Gamma_P^a u_P^b) / (L q^b), so it is exact in integers.
-
-    The row s_b = sum_P m_P u_P^b (b = 0..n) comes first.  If Gamma is
-    affine in u (any slope; tested in integers), Gamma_P^a u_P^b is a
-    polynomial in u_P of degree a + b < n, so every sum is a rational
-    combination of s_0..s_{n-1}: when those vanish, so does every one.
-    Otherwise every monomial is evaluated, so the report is the same.
+    m_P = L / Lambda_P and u_P = -phi_P * q (all integers), the row entry
+    s_b is (sum_P m_P u_P^b) / (L q^b), so it is exact in integers.
     """
     n = data.n
-    lambdas = [p.lambda_all for p in data.points]
+    lambdas = [p.lambda_all for p in data.points]  # StructureError on a zero weight
+    _affine_fit(data)  # NonConstantC1 or NonPositiveC1 off the c1 line
     big_l = lcm(*lambdas)
     q, u = _integer_moments(data)
-    u = [-x for x in u]
-    m = [big_l // lam for lam in lambdas]
-    gs = [p.gamma for p in data.points]
-
-    row = [sum(m)]  # s_b = sum_P m_P * u_P^b
-    terms = m
+    terms = [big_l // lam for lam in lambdas]  # m_P * u_P^b
+    row = [sum(terms)]
     for _ in range(n):
-        terms = [t * x for t, x in zip(terms, u)]
+        terms = [-t * x for t, x in zip(terms, u)]
         row.append(sum(terms))
-    volume = Fraction(row[n], big_l * q**n)
-    du, dg = u[1] - u[0], gs[1] - gs[0]
-    if du and not any(row[:n]) and all((g - gs[0]) * du == dg * (x - u[0]) for g, x in zip(gs, u)):
-        return BatteryReport(n, (), volume)
-
-    failures = [BatteryFailure(0, b, Fraction(s, big_l * q**b)) for b, s in enumerate(row[:n]) if s]
-    c1_power = m  # m_P * Gamma_P^a
-    for a in range(1, n):
-        c1_power = [t * g for t, g in zip(c1_power, gs)]
-        terms = c1_power  # m_P * Gamma_P^a * u_P^b
-        for b in range(n - a):
-            total = sum(terms)
-            if total != 0:
-                failures.append(BatteryFailure(a, b, Fraction(total, big_l * q**b)))
-            terms = [t * x for t, x in zip(terms, u)]
-    return BatteryReport(n, tuple(failures), volume)
+    failures = tuple(
+        BatteryFailure(0, b, Fraction(s, big_l * q**b)) for b, s in enumerate(row[:n]) if s
+    )
+    return BatteryReport(n, failures, Fraction(row[n], big_l * q**n))

@@ -25,7 +25,10 @@ from .errors import SpecMismatch, StructureError
 
 
 def _ints(values: Iterable[int], what: str, error: type = SpecMismatch) -> list[int]:
-    out = list(values)
+    try:
+        out = list(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence of integers, got {values!r}") from None
     for v in out:
         if isinstance(v, bool) or not isinstance(v, int):
             raise error(f"{what} must be integers, got {v!r}")

@@ -164,7 +164,9 @@ def consistency_checks(
     the c1 coefficient, the condition-D offset and the vanishing battery.
 
     When validate fails the other three are not run (their formulas
-    assume valid data) and fail with "not run: validation failed".
+    assume valid data) and fail with "not run: validation failed"; when
+    the c1 line does not exist the battery, which is defined on it, fails
+    with "not run: condition D failed".
     ``require_integral_differences`` is passed to ``validate``.
     """
     report = validate(data, require_integral_differences=require_integral_differences)
@@ -175,9 +177,11 @@ def consistency_checks(
         return tuple(checks)
     try:
         c, d = c1_coefficient(data), condition_d_offset(data)
-        checks += [Check("c1-coefficient", True, f"C = {c}"), Check("condition-d", True, f"d = {d}")]
     except HamfixError as exc:
         checks += [Check(name, False, str(exc)) for name in ("c1-coefficient", "condition-d")]
+        checks.append(Check("vanishing-battery", False, "not run: condition D failed"))
+        return tuple(checks)
+    checks += [Check("c1-coefficient", True, f"C = {c}"), Check("condition-d", True, f"d = {d}")]
     battery = vanishing_battery(data)
     detail = f"volume = {battery.volume}"
     if battery.failures:

@@ -194,14 +194,15 @@ def test_ring_and_chern_refuse_data_failing_validate(tmp_path, capsys):
 
 
 def test_ring_and_chern_refuse_data_failing_only_the_battery(tmp_path, capsys):
-    # Valid, with C = 5 and d = 2, but the localization sums do not vanish
+    # Valid, with C = 5 and d = 2, but the omega row of the localization
+    # sums does not vanish; on the c1 line the battery reports that row only
     data = FixedPointData.from_weights([0, 1, 2], [(1, 1), (-4, 1), (-4, -4)])
     path = write_model(tmp_path, data)
     for command in (["ring", path], ["chern", path], ["ring", path, "--json"]):
         assert main(command) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: non-vanishing pairs (0,0), (0,1), (1,0); volume = 0\n"
+        assert captured.err == "error: non-vanishing pairs (0,0), (0,1); volume = 0\n"
 
 
 def test_ring_and_chern_refuse_non_constant_c1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -16,6 +17,7 @@ from hamfix import (
     RingCoefficients,
     RingKind,
     RingSpec,
+    SpecMismatch,
     abbv_sum,
     c1_coefficient,
     chern_coefficients,
@@ -491,3 +493,16 @@ def test_classify_other():
     spec = classify_ring(rc)
     assert spec.kind is RingKind.OTHER
     assert spec.r == rc.r
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RingSpec(RingKind.OTHER, 2), "Other ring needs an explicit r-sequence of length n+1"),
+        (lambda: reference_chern(RingKind.OTHER, 3), "no reference Chern series for an Other ring"),
+    ],
+    ids=["other-ring-without-r", "other-ring-reference-chern"],
+)
+def test_an_other_ring_refuses_what_it_does_not_define(build, message):
+    with pytest.raises(SpecMismatch, match=f"^{re.escape(message)}$"):
+        build()

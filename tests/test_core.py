@@ -225,3 +225,16 @@ def test_quadric_models_validate(b):
 @given(cpn_b_lists())
 def test_cpn_models_validate(b):
     assert validate(cpn_model(b)).is_valid
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FixedPointData(1, (FixedPoint(1, 0, (1,)), FixedPoint(1, 1, (-1,)))), "point at position 0 has index 1"),
+        (lambda: FixedPointData.from_weights([0, 1], [[1]]), "moment values and weight lists differ in length"),
+    ],
+    ids=["misplaced-index", "short-weight-list"],
+)
+def test_fixed_point_data_refuses_a_malformed_structure(build, message):
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        build()

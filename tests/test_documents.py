@@ -1,5 +1,6 @@
 import enum
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -257,3 +258,39 @@ def test_round_trip_translated_quadric_documents(b, c):
     parsed = parse_document(text)
     assert parsed.data == doc.data
     assert serialize_document(parsed) == text
+
+
+def _one_sphere(**changes):
+    """CP^1 as decoded JSON, with top-level keys or point 0's keys changed."""
+    point = {"phi": "0", "weights": [1]}
+    point.update(changes.pop("point", {}))
+    doc = {"n": 1, "points": [point, {"phi": "1", "weights": [-1]}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "$: expected an object, got list"),
+        (_one_sphere(n=True), "n: expected a positive integer, got True"),
+        (_one_sphere(n=0), "n: expected a positive integer, got 0"),
+        (_one_sphere(points={}), "points: expected an array of points"),
+        (_one_sphere(points=[5, {"phi": "1", "weights": [-1]}]), "points[0]: expected an object with phi and weights"),
+        (_one_sphere(point={"x": 1}), "points[0].x: unknown key"),
+        (_one_sphere(points=[{"weights": [1]}, {"phi": "1", "weights": [-1]}]), "points[0].phi: missing"),
+        (_one_sphere(point={"phi": True}), "points[0].phi: expected a rational string or integer, got a bool"),
+        (_one_sphere(point={"phi": None}), "points[0].phi: expected a rational string or integer, got NoneType"),
+        (_one_sphere(point={"weights": "1"}), "points[0].weights: expected an array of integers"),
+        (_one_sphere(meta=[]), "meta: expected an object"),
+    ],
+)
+def test_parse_refuses_each_malformed_shape_by_path(obj, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_document(json.dumps(obj))
+
+
+def test_parse_reads_an_integral_float_phi_as_an_integer():
+    doc = parse_document(json.dumps(_one_sphere(point={"phi": 0.0})))
+    assert doc.data == FixedPointData.from_weights([0, 1], [[1], [-1]])
+    assert type(doc.data.points[0].moment_value) is Fraction

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hamfix import (
     BatteryReport,
     FixedPoint,
     FixedPointData,
+    HamfixError,
+    NonConstantC1,
     StructureError,
     abbv_sum,
     c1_coefficient,
@@ -99,22 +102,36 @@ def test_battery_quadric3():
     assert report.volume == 2
 
 
+def battery_fails():
+    """Valid and on the c1 line (C = 5, d = 2), but the omega row fails."""
+    return FixedPointData.from_weights([0, 1, 2], [[1, 1], [-4, 1], [-4, -4]])
+
+
 def test_battery_catches_corrupted_weight():
-    base = cpn_model((0, 1, 2))
-    points = list(base.points)
-    points[2] = FixedPoint(2, points[2].moment_value, (-3, -1))
+    # CP^2's weights (-1, 1) at P_1 moved to (-3, 3): Gamma, and so the c1
+    # line, stay as they are, and the battery alone sees the change.
+    points = list(cpn_model((0, 1, 2)).points)
+    points[1] = FixedPoint(1, points[1].moment_value, (-3, 3))
     report = vanishing_battery(FixedPointData(2, tuple(points)))
     assert not report.passed
     assert report.failures  # at least one pair fails
 
 
 def test_battery_failures_in_lex_order():
-    base = cpn_model((0, 1, 2))
-    points = list(base.points)
+    pairs = [(f.a, f.b) for f in vanishing_battery(battery_fails()).failures]
+    assert pairs == sorted(pairs) == [(0, 0), (0, 1)]
+
+
+def test_battery_off_the_c1_line_raises_the_c1_error():
+    # CP^2 with P_2's weights corrupted to (-3, -1): valid, but Gamma =
+    # 3, 0, -4 is not affine in phi, so the battery is not defined.
+    points = list(cpn_model((0, 1, 2)).points)
     points[2] = FixedPoint(2, points[2].moment_value, (-3, -1))
-    report = vanishing_battery(FixedPointData(2, tuple(points)))
-    pairs = [(f.a, f.b) for f in report.failures]
-    assert pairs == sorted(pairs)
+    data = FixedPointData(2, tuple(points))
+    assert validate(data).is_valid
+    for measure in (c1_coefficient, vanishing_battery):
+        with pytest.raises(NonConstantC1, match=r"^pair \(0,1\) gives 3 but pair \(0,2\) gives 7/2$"):
+            measure(data)
 
 
 @given(quadric_b_lists())
@@ -135,11 +152,7 @@ def test_battery_pass_invariant_under_translation(b, c):
 
 @given(st.integers(-20, 20))
 def test_battery_failure_invariant_under_translation(c):
-    base = cpn_model((0, 1, 2))
-    points = list(base.points)
-    points[2] = FixedPoint(2, points[2].moment_value, (-3, -1))
-    bad = FixedPointData(2, tuple(points))
-    assert not vanishing_battery(bad.translated(c)).passed
+    assert not vanishing_battery(battery_fails().translated(c)).passed
 
 
 def test_battery_fails_on_the_c1_line():
@@ -190,4 +203,17 @@ def battery_data(draw):
 @settings(max_examples=300)
 @given(battery_data())
 def test_battery_equals_abbv_sum_reference(data):
-    assert vanishing_battery(data) == reference_battery(data)
+    # On the c1 line every monomial is a combination of the omega row, so
+    # the row's failures (a = 0) decide the battery; off it the battery
+    # raises the error of the c1 line test.
+    try:
+        c1_coefficient(data)
+    except HamfixError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            vanishing_battery(data)
+        return
+    report, reference = vanishing_battery(data), reference_battery(data)
+    assert report.passed == reference.passed
+    assert report.volume == reference.volume
+    assert report.failures == tuple(f for f in reference.failures if f.a == 0)
+    assert bool(report.failures) == bool(reference.failures)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from hamfix import (
     FixedPointData,
+    InconsistentGamma,
     SpecMismatch,
     StructureError,
     cpn_model,
     expected_weights_cpn,
     expected_weights_quadric,
+    infer_moment_values,
     quadric_model,
     validate,
 )
@@ -59,6 +61,21 @@ def test_model_exponents_must_be_ints(model, b, bad):
     # Checked first: a bool is not read as 1, and a str or float raises no TypeError.
     with pytest.raises(SpecMismatch, match=rf"^exponents must be integers, got {re.escape(repr(bad))}$"):
         model(b)
+
+
+@pytest.mark.parametrize(
+    "build, values, error, message",
+    [
+        (cpn_model, 5, SpecMismatch, "exponents must be a sequence of integers, got 5"),
+        (quadric_model, 5, SpecMismatch, "exponents must be a sequence of integers, got 5"),
+        (expected_weights_cpn, 5, SpecMismatch, "moment values must be a sequence of integers, got 5"),
+        (infer_moment_values, [1, 2], InconsistentGamma, "weights must be a sequence of integers, got 1"),
+    ],
+)
+def test_a_list_that_is_not_iterable_raises_its_error(build, values, error, message):
+    # Not "TypeError: 'int' object is not iterable" from inside the reader.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(values)
 
 
 def test_quadric_model_errors():
@@ -128,3 +145,15 @@ def test_expected_weights_quadric_round_trip(b):
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=7, unique=True))
 def test_cpn_model_always_validates(b):
     assert validate(cpn_model(b)).is_valid
+
+
+@pytest.mark.parametrize(
+    "build, values, message",
+    [
+        (quadric_model, [3], "need at least two exponents"),
+        (expected_weights_quadric, [0, 2], "quadric weights require n >= 3, got 1"),
+    ],
+)
+def test_quadric_refuses_too_few_points(build, values, message):
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        build(values)

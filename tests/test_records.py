@@ -192,6 +192,15 @@ def test_ring_spec_coerces_r_entries_exactly():
             RingSpec(RingKind.OTHER, 3, (1, 1, bad, Fraction(1, 5)))
 
 
+@pytest.mark.parametrize("r", ["115", {1: 2, 2: 3, 3: 4}, 3, range(3)])
+def test_ring_spec_takes_r_only_as_a_list_or_tuple(r):
+    # A string was read one character at a time ("115" built r = 1, 1, 5),
+    # a dict by its keys, and an int escaped as a TypeError from len().
+    with pytest.raises(SpecMismatch, match=rf"^r-sequence must be a list or tuple, got {re.escape(repr(r))}$"):
+        RingSpec(RingKind.OTHER, 2, r)
+    assert RingSpec(RingKind.OTHER, 2, [1, 1, 5]) == RingSpec(RingKind.OTHER, 2, (1, 1, 5))
+
+
 def test_ring_spec_refuses_a_non_integer_n():
     # A float or bool n once built, and the search then died on a bare
     # TypeError or compared n = True with the moment list.

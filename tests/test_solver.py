@@ -16,6 +16,7 @@ from hamfix import (
     FixedPointData,
     GradientSphereGraph,
     InconsistentGamma,
+    NonConstantC1,
     RingKind,
     RingSpec,
     SearchBudgetExceeded,
@@ -521,10 +522,34 @@ def _placement_instances(draw):
     return spec, phis, draw(st.sampled_from([None, None, 0, 1, 3, 50]))
 
 
+# Other rings whose search, without the cut of a placement at P_1 that
+# leaves Gamma_0 off the c1 line, returns one system off that line.
+GAMMA_0_CUT = [
+    (RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(1, 6), Fraction(1, 6))), [12, 23, 32, 33]),
+    (RingSpec(RingKind.OTHER, 4, (1, 1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 9))), [7, 14, 23, 29, 34]),
+]
+
+
+@pytest.mark.parametrize("spec, phis", GAMMA_0_CUT)
+def test_the_gamma_0_cut_refuses_a_placement_off_the_c1_line(spec, phis):
+    assert enumerate_weight_systems(spec, phis) == []
+
+
+def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
+    # What the first search above places without the cut: valid, with the
+    # ring's negative products, but Gamma_0 = 28 is off the line of the rest.
+    weights = [(7, 10, 11), (-11, 3, 5), (-10, -3, 1), (-7, -5, -1)]
+    data = FixedPointData.from_weights([12, 23, 32, 33], weights)
+    assert validate(data).is_valid
+    with pytest.raises(NonConstantC1, match=r"^pair \(0,1\) gives 31/11 but pair \(0,2\) gives 2$"):
+        c1_coefficient(data)
+
+
 # A ring without Poincare duality: the oracle assembles one candidate,
 # [(1, 1), (-1, 1), (-1, -1)], its battery rejects it at (0,0) and (0,1),
 # and the solver assembles none.
 @example((RingSpec(RingKind.OTHER, 2, (1, 1, Fraction(1, 2))), [0, 1, 2], None))
+@example((*GAMMA_0_CUT[0], None))
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
