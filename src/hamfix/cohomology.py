@@ -31,10 +31,12 @@ from fractions import Fraction
 from math import comb, lcm, prod
 
 from .core import FixedPointData, _integer_moments, rat
-from .errors import HamfixError, NonConstantC1, NonPositiveC1, SpecMismatch
+from .errors import HamfixError, NonConstantC1, NonPositiveC1, SpecMismatch, StructureError
 
 
 class RingKind(enum.Enum):
+    """The three kinds of target ring: projective space, odd quadric, other."""
+
     PROJECTIVE_SPACE = "ProjectiveSpace"
     QUADRIC = "Quadric"
     OTHER = "Other"
@@ -109,8 +111,8 @@ class ChernData(namedtuple("ChernData", "sigma gamma")):
         return len(self.gamma)
 
 
-def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
-    """(C, d) with Gamma_i = C * (-phi_i) + d for all i, and C > 0.
+def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction, int, list[int]]:
+    """(C, d, q, u) with Gamma_i = C * (-phi_i) + d for all i, and C > 0.
 
     If every pair (0, j) gives the quotient C, the points lie on one
     line, so every pair with distinct moment values does too.  Errors
@@ -119,8 +121,9 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
     The pairs are compared in integers, on u = q*phi with q the lcm of
     the denominators: pair (0, j) gives C = q*(Gamma_0 - Gamma_j) /
     (u_j - u_0), so it agrees with pair (0, 1) exactly when the two
-    cross products are equal.  Fractions are built only for the result
-    and for error messages.
+    cross products are equal.  Fractions are built only for (C, d) and
+    for error messages; the integer moment scale (q, u) is returned too,
+    for the battery.
     """
     gs = [p.gamma for p in data.points]
     q, u = _integer_moments(data)
@@ -138,7 +141,7 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
     c = Fraction(q * rise, run)
     if rise * run <= 0:
         raise NonPositiveC1(f"common c1 coefficient {c} is not positive")
-    return c, Fraction(g0 * run + rise * u0, run)
+    return c, Fraction(g0 * run + rise * u0, run), q, u
 
 
 def c1_coefficient(data: FixedPointData) -> Fraction:
@@ -234,14 +237,14 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
     """
     n = data.n
     gs = _distinct_gammas(data)
-    pts = data.points
-    for p in pts:
-        p.lambda_all  # raises StructureError on a zero weight
     sigma = _sigma_table(data)
+    for k, row in enumerate(sigma):
+        if not row[n]:  # sigma_n(P_k) = Lambda_k
+            raise StructureError(f"zero weight at point {k}")
 
     # lower[k] = prod_{j<=i, j!=k} (Gamma_k - Gamma_j), for k <= i.
     lower = [1]
-    rise, lam1 = gs[1] - gs[0], pts[1].lambda_minus
+    rise, lam1 = gs[1] - gs[0], data.points[1].lambda_minus
     rise_i, lam1_i = 1, 1  # (Gamma_1 - Gamma_0)^i and (Lambda_1^-)^i
     gammas: list[Fraction] = []
     for i in range(1, n + 1):

@@ -189,10 +189,14 @@ def _integer_moments(data: FixedPointData) -> tuple[int, list[int]]:
 
 
 class Violation(namedtuple("Violation", "rule point message")):
+    """One broken ``validate`` rule, at the point it names, with its message."""
+
     __slots__ = ()
 
 
 class ValidationReport(namedtuple("ValidationReport", "violations")):
+    """Every ``Violation`` found by ``validate``, in rule order; empty if valid."""
+
     __slots__ = ()
 
     @property

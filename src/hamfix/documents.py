@@ -23,6 +23,8 @@ from .errors import ParseError
 
 
 class InputDocument(namedtuple("InputDocument", "data meta", defaults=(None,))):
+    """Fixed point data and the document's optional ``meta`` object."""
+
     __slots__ = ()
 
 
@@ -92,6 +94,7 @@ def document_from_json(obj: Any) -> InputDocument:
 
 
 def parse_document(text: str) -> InputDocument:
+    """Parse JSON text to a document; bad JSON or structure raises ParseError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,6 +133,7 @@ def serialize_document(doc: InputDocument) -> str:
 
 
 def load_document(path: str) -> InputDocument:
+    """Read and parse the UTF-8 document at ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
@@ -139,6 +143,7 @@ def load_document(path: str) -> InputDocument:
 
 
 def save_document(doc: InputDocument, path: str):
+    """Write the canonical text of ``doc`` to ``path``."""
     text = serialize_document(doc)  # first: open(path, "w") empties the file
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -26,7 +26,7 @@ from math import lcm
 from typing import Sequence
 
 from .cohomology import _affine_fit
-from .core import FixedPointData, RatLike, _integer_moments, rat
+from .core import FixedPointData, RatLike, rat
 
 
 def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
@@ -41,11 +41,15 @@ def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
     return total
 
 
-class BatteryFailure(namedtuple("BatteryFailure", "a b value")):
+class BatteryFailure(namedtuple("BatteryFailure", "b value")):
+    """A power b < n whose sum s_b = sum_P (-phi_P)^b / Lambda_P is ``value`` != 0."""
+
     __slots__ = ()
 
 
 class BatteryReport(namedtuple("BatteryReport", "n failures volume")):
+    """The battery's failing powers, in increasing b, and the symplectic volume."""
+
     __slots__ = ()
 
     @property
@@ -64,25 +68,22 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     sum_P Gamma_P^a * (-phi_P)^b / Lambda_P with a + b < n is a rational
     combination of the row s_k = sum_P (-phi_P)^k / Lambda_P, k <= a + b:
     all of them vanish exactly when s_0..s_{n-1} do.  The failures are
-    the nonzero s_b (b < n), as pairs (0, b) in increasing b.  The report
+    the powers b < n with s_b nonzero, in increasing b.  The report
     also carries the top value V = sum_P (-phi_P)^n / Lambda_P, the
     symplectic volume, which must be positive for the battery to pass.
 
-    With L = lcm(Lambda_P), q the lcm of the moment value denominators,
-    m_P = L / Lambda_P and u_P = -phi_P * q (all integers), the row entry
-    s_b is (sum_P m_P u_P^b) / (L q^b), so it is exact in integers.
+    With L = lcm(Lambda_P), m_P = L / Lambda_P and the fit's integer
+    moment scale q, u_P = q * phi_P, the row entry s_b is
+    (sum_P m_P (-u_P)^b) / (L q^b), so it is exact in integers.
     """
     n = data.n
     lambdas = [p.lambda_all for p in data.points]  # StructureError on a zero weight
-    _affine_fit(data)  # NonConstantC1 or NonPositiveC1 off the c1 line
+    _, _, q, u = _affine_fit(data)  # NonConstantC1 or NonPositiveC1 off the c1 line
     big_l = lcm(*lambdas)
-    q, u = _integer_moments(data)
-    terms = [big_l // lam for lam in lambdas]  # m_P * u_P^b
+    terms = [big_l // lam for lam in lambdas]  # m_P * (-u_P)^b
     row = [sum(terms)]
     for _ in range(n):
         terms = [-t * x for t, x in zip(terms, u)]
         row.append(sum(terms))
-    failures = tuple(
-        BatteryFailure(0, b, Fraction(s, big_l * q**b)) for b, s in enumerate(row[:n]) if s
-    )
+    failures = tuple(BatteryFailure(b, Fraction(s, big_l * q**b)) for b, s in enumerate(row[:n]) if s)
     return BatteryReport(n, failures, Fraction(row[n], big_l * q**n))

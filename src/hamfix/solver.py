@@ -185,8 +185,8 @@ def consistency_checks(
     battery = vanishing_battery(data)
     detail = f"volume = {battery.volume}"
     if battery.failures:
-        pairs = ", ".join(f"({f.a},{f.b})" for f in battery.failures)
-        detail = f"non-vanishing pairs {pairs}; {detail}"
+        powers = ", ".join(str(f.b) for f in battery.failures)
+        detail = f"non-vanishing powers {powers}; {detail}"
     checks.append(Check("vanishing-battery", battery.passed, detail))
     return tuple(checks)
 
@@ -323,6 +323,8 @@ def enumerate_weight_systems(
 
 
 class EquivalenceReport(namedtuple("EquivalenceReport", "spec lines system_count")):
+    """The ring, one ``Check`` per implication, and how many systems the search found."""
+
     __slots__ = ()
 
     @property
@@ -454,6 +456,8 @@ class AmbiguousWeight(namedtuple("AmbiguousWeight", "point weight candidates")):
 
 
 class GradientSphereGraph(namedtuple("GradientSphereGraph", "n edges ambiguous missing_pairs")):
+    """The sphere edges, the unmatched weights and the point pairs no edge joins."""
+
     __slots__ = ()
 
     def edges_between(self, lower: int, upper: int) -> list[SphereEdge]:

@@ -202,7 +202,7 @@ def test_ring_and_chern_refuse_data_failing_only_the_battery(tmp_path, capsys):
         assert main(command) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: non-vanishing pairs (0,0), (0,1); volume = 0\n"
+        assert captured.err == "error: non-vanishing powers 0, 1; volume = 0\n"
 
 
 def test_ring_and_chern_refuse_non_constant_c1(tmp_path, capsys):

@@ -83,3 +83,10 @@ def test_error_classes():
     )
     assert defined == ERROR_CLASSES
     assert all(issubclass(getattr(hamfix.errors, n), hamfix.HamfixError) for n in defined)
+
+
+def test_public_classes_and_functions_have_docstrings():
+    # A class's __doc__ is its own: a subclass without one reads None.
+    objects = {name: getattr(hamfix, name) for name in PUBLIC_NAMES}
+    assert all(inspect.isclass(obj) or inspect.isfunction(obj) for obj in objects.values())
+    assert [name for name, obj in objects.items() if not (obj.__doc__ or "").strip()] == []

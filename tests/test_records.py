@@ -88,8 +88,8 @@ RECORDS = [
     ),
     (
         BatteryFailure,
-        {"a": 0, "b": 1, "value": Fraction(1, 2)},
-        "BatteryFailure(a=0, b=1, value=Fraction(1, 2))",
+        {"b": 1, "value": Fraction(1, 2)},
+        "BatteryFailure(b=1, value=Fraction(1, 2))",
     ),
     (
         BatteryReport,

@@ -646,11 +646,11 @@ def test_infer_rejects_bad_counts():
 
 
 def test_infer_rejects_inconsistent_multisets():
-    # phi = 0, 1, 8 passes validate, but the battery's (0, 0) and (0, 1) sums
+    # phi = 0, 1, 8 passes validate, but the battery's sums of powers 0 and 1
     # do not vanish
     with pytest.raises(
         InconsistentGamma,
-        match=r"fail vanishing-battery: non-vanishing pairs \(0,0\), \(0,1\); volume = 31/3$",
+        match=r"fail vanishing-battery: non-vanishing powers 0, 1; volume = 31/3$",
     ):
         infer_moment_values([(1, 2), (-1, 3), (-2, -3)])
     # phi = 0, 2, 26/5 has a non-integral moment gap

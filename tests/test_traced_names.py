@@ -1,7 +1,7 @@
 """The benchmark's traced run patches hamfix functions by name; every
-name it lists must still resolve, or ``--trace 1`` and ``--smoke`` fail,
-and the solver must still call the patched names, or its stage metrics
-read 0."""
+name it lists must still resolve, or ``--trace 1`` and ``--smoke`` fail.
+The search itself calls none of the check chain: placement guarantees
+what those checks would test, so its check-chain metrics read 0."""
 
 import importlib.util
 import sys
