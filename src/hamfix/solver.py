@@ -23,10 +23,9 @@ fixed point data; the CLI and ``infer_moment_values`` use it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .cohomology import (
@@ -82,53 +81,49 @@ def _negative_assignments(
     gaps: Sequence[int], target: int, budget: int, divisors: dict[int, list[int]]
 ) -> list[tuple[int, ...]]:
     """All tuples (w_0..w_{k-1}) of negative integers with w_j dividing
-    gaps[j] (both negative) and product equal to ``target``, in the
-    order of a depth-first search over ascending divisors.
-    ``divisors`` maps a gap g to ``_divisors(-g)``; the caller passes
-    one dict to every call of a search, and missing gaps are added.
+    gaps[j] (both negative) and product equal to ``target``, in
+    ascending lexicographic order of (|w_0|, .., |w_{k-1}|).
 
-    The product still to be placed can be at most what the remaining
-    slots reach (the product of their |gaps|), so a slot's scan starts at
-    the least divisor that leaves the later slots enough reach and stops
-    at the product itself; the last slot takes what is left if it divides
-    its gap.  Both bounds cut only branches with no result, so the list
-    and the budget cap are those of the unbounded search.
+    Writing w_j = gaps[j] / m_j with m_j a positive integer, the m_j
+    multiply to the cofactor M = prod |gaps| / |target|, so there is no
+    result unless M is an integer (1 / r_i for the point's ring ratio),
+    and each slot takes m_j from the divisors of gcd(what is left of M,
+    |gaps[j]|), in descending order (ascending |w_j|).  Once the cofactor
+    left is 1 every later slot takes its own gap, and the last slot takes
+    its gap over what is left if that divides.  So the work depends on M,
+    not on the size of the gaps: one result and no divisor listing for
+    projective space, one halved even gap for the quadric.  ``divisors``
+    maps a positive int to its ``_divisors``; the caller passes one dict
+    to every call of a search, and missing keys are added.
     """
     k = len(gaps)
     if target == 0 or (target < 0) != (k % 2 == 1):
         return []
-    for g in gaps[:-1]:
-        if g not in divisors:
-            divisors[g] = _divisors(-g)
-    choices = [divisors[g] for g in gaps[:-1]]
-    # reach[j]: the largest product slots j..k-1 can still make.
-    reach = [1] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        reach[j] = reach[j + 1] * -gaps[j]
+    cofactor, rest = divmod(abs(prod(gaps)), abs(target))
+    if rest:
+        return []
 
     results: list[tuple[int, ...]] = []
-    path = [0] * k  # path[:j] holds the weights of the branch at slot j
-    # (slot j, product still to place, weight at slot j-1), each entered
-    # with the product at most reach[j].  Children are pushed in reverse,
-    # so they pop in ascending-divisor order.
-    t = abs(target)
-    stack = [(0, t, 0)] if t <= reach[0] else []
+    path = list(gaps)  # path[:j] holds the weights of the branch at slot j
+    # (slot j, cofactor still to place, m_{j-1}).  Children are pushed in
+    # ascending m, so they pop in descending m: ascending |w|.
+    stack = [(0, cofactor, 1)]
     while stack:
-        j, remaining, w = stack.pop()
+        j, remaining, m = stack.pop()
         if j:
-            path[j - 1] = w
-        if j < k - 1:
-            row = choices[j]
-            least = -(-remaining // reach[j + 1])
-            for d in reversed(row[bisect_left(row, least) : bisect_right(row, remaining)]):
-                if remaining % d == 0:
-                    stack.append((j + 1, remaining // d, -d))
+            path[j - 1] = gaps[j - 1] // m
+        if remaining == 1:
+            path[j:] = gaps[j:]
+        elif j < k - 1:
+            key = gcd(remaining, gaps[j])
+            if key not in divisors:
+                divisors[key] = _divisors(key)
+            stack += [(j + 1, remaining // d, d) for d in divisors[key]]
             continue
-        if j == k - 1:  # else k == 0 and the target is 1
-            # The last slot takes what is left if it divides its gap.
-            if reach[j] % remaining:
-                continue
-            path[j] = -remaining
+        elif gaps[j] % remaining == 0:  # the last slot takes what is left
+            path[j] = gaps[j] // remaining
+        else:
+            continue
         results.append(tuple(path))
         if len(results) > budget:
             raise SearchBudgetExceeded(f"more than {budget} weight assignments at one point")
@@ -201,7 +196,8 @@ def enumerate_weight_systems(
     the ring's product target; positive weights are the forced mirrors.
     The targets are exact ints (a point whose target is not an integer
     has no assignment), and each point's assignments come from the
-    two-sided divisor search of ``_negative_assignments``.  They are
+    cofactor search of ``_negative_assignments``, whose work depends on
+    the denominators of r, not on the size of the gaps.  They are
     placed depth first from P_n down to P_1, on a stack that holds at
     most one bucket per level, so no larger than the per-point lists.
     Placing P_i forces its weight to P_{i-1}, whose positive product it
@@ -229,7 +225,7 @@ def enumerate_weight_systems(
     number of combinations of them (the product of the per-point counts);
     exceeding either raises SearchBudgetExceeded rather than truncating.
     Every point is searched before the combinations are counted, and
-    neither count depends on the bounds or the lookup.
+    neither count depends on the lookup.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
@@ -248,13 +244,15 @@ def enumerate_weight_systems(
                 need = "1" if i < 2 else "positive"
                 raise SpecMismatch(f"r-sequence entry r_{i} must be {need}, got {v}")
 
+    nums, dens = [v.numerator for v in r], [v.denominator for v in r]
+
     def exact(i: int, gap_product: int) -> int | None:
         # r_i * gap_product as an int, or None when it is not one.
-        q, rest = divmod(r[i].numerator * gap_product, r[i].denominator)
+        q, rest = divmod(nums[i] * gap_product, dens[i])
         return None if rest else q
 
-    # Moment values in arithmetic progression repeat a gap over many
-    # slots, so each distinct gap's divisors are listed once per call.
+    # The points of one call share their cofactor-gap gcds, so each
+    # distinct gcd's divisors are listed once per call.
     divisors: dict[int, list[int]] = {}
     per_point: list[list[tuple[int, ...]]] = []
     for i in range(1, n + 1):
@@ -271,7 +269,9 @@ def enumerate_weight_systems(
     # A positive product is a product of divisors, so an integer; with
     # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
     pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
-    if None in pos or any(r[i] * r[n - i] != r[n] for i in range(n + 1)):
+    if None in pos or any(
+        nums[i] * nums[n - i] * dens[n] != nums[n] * dens[i] * dens[n - i] for i in range(n + 1)
+    ):
         return []
     top_gap = vals[n] - vals[n - 1]
 

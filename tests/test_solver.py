@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -297,6 +298,18 @@ def test_enumerate_budget_caps_the_combinations_exactly():
     assert enumerate_weight_systems(spec, phis, budget=6) == [quadric_model((3, 1))]
 
 
+@pytest.mark.parametrize("g", [10**18, 10**39 + 7])
+def test_enumerate_huge_gaps_without_listing_their_divisors(g):
+    # The cofactor is 1 for CP^n and at most 2 for Q^n, so no gap is
+    # factored: a divisor listing of a gap near 1e18 would take minutes.
+    start = time.perf_counter()
+    cpn = enumerate_weight_systems(RingSpec(RingKind.PROJECTIVE_SPACE, 3), [0, g, 2 * g, 3 * g], budget=1)
+    quadric = enumerate_weight_systems(RingSpec(RingKind.QUADRIC, 3), [-3 * g, -g, g, 3 * g])
+    assert time.perf_counter() - start < 1
+    assert cpn == [cpn_model([0, g, 2 * g, 3 * g])]
+    assert quadric == [quadric_model((3 * g, g))]
+
+
 # --- the bounded divisor search ----------------------------------------------
 
 
@@ -367,6 +380,27 @@ def test_bounded_assignments_match_the_unbounded_search(problem):
     )
 
 
+@st.composite
+def _many_divisor_problems(draw):
+    # Few slots but gaps with many divisors, so the cofactor splits
+    # several ways and the order of the results is exercised.
+    gaps = draw(st.lists(st.integers(-720, -1), max_size=3))
+    cofactor = math.prod(draw(st.sampled_from(_divisors(-g))) for g in gaps)
+    if draw(st.booleans()):
+        cofactor *= draw(st.integers(1, 6))
+    target = Fraction(math.prod(gaps), cofactor)  # the sign of k negative gaps
+    return gaps, target, draw(st.sampled_from([0, 1, 3, 50, DEFAULT_BUDGET]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_many_divisor_problems())
+def test_cofactor_splits_match_the_unbounded_search(problem):
+    gaps, target, budget = problem
+    assert _outcome(_int_target_search, gaps, target, budget) == _outcome(
+        _unbounded_negative_assignments, gaps, target, budget
+    )
+
+
 @pytest.mark.parametrize(
     "gaps, target, expected",
     [
@@ -386,6 +420,8 @@ def test_bounded_assignments_match_the_unbounded_search(problem):
         ((-12,), -24, []),
         ((), 1, [()]),
         ((), 2, []),
+        # cofactor 6, split as m = (2,3,1), (2,1,3), (1,6,1), (1,2,3)
+        ((-4, -6, -9), -36, [(-2, -2, -9), (-2, -6, -3), (-4, -1, -9), (-4, -3, -3)]),
     ],
 )
 def test_bounded_assignments_edge_cases(gaps, target, expected):
@@ -401,6 +437,8 @@ def test_bounded_assignments_budget_counts_every_result():
     assert len(_negative_assignments((-6, -9), 18, 2, {})) == 2
     with pytest.raises(SearchBudgetExceeded, match=over.format(1)):
         _negative_assignments((-6, -9), 18, 1, {})
+    with pytest.raises(SearchBudgetExceeded, match=over.format(3)):
+        _negative_assignments((-4, -6, -9), -36, 3, {})
 
 
 # --- placement by lookup -----------------------------------------------------
