@@ -200,22 +200,28 @@ def enumerate_weight_systems(
     the denominators of r, not on the size of the gaps.  They are
     placed depth first from P_n down to P_1, on a stack that holds at
     most one bucket per level, so no larger than the per-point lists.
-    Placing P_i forces its weight to P_{i-1}, whose positive product it
-    completes, and for i <= n-2 its weight sum, since Gamma_i must lie
-    on the line that Gamma_n and Gamma_{n-1} fix; so each placement
-    reads one bucket of an index built once per call, in list order.  A
-    placement is cut when P_{i-1}'s positive target is not a multiple of
-    its product so far, when C <= 0, or when Gamma_0 leaves the line.  A
-    full placement so passes ``validate`` (increasing integer moment
-    values, divisor weights, i negative weights at P_i) and condition D
-    (every Gamma_i on one line of positive C) by construction, and its
-    Lambda_i is r_i * r_{n-i} * prod_{j!=i} (phi_j - phi_i).  On that
-    line the battery is the row sum_i phi_i^b / Lambda_i (b < n), whose
-    kernel is spanned by 1 / prod_{j!=i} (phi_i - phi_j); so it passes,
-    with volume 1 / r_n, exactly when r_i * r_{n-i} = r_n for every i
-    (Poincare duality).  A ring without duality returns [], and nothing
-    is checked after assembly.  The result is deduplicated and sorted by
-    flattened weight lists.
+    Every weight is paired (-w at P_i, +w at P_j), so sum_i Gamma_i = 0,
+    and on the c1 line Gamma_i = Gamma_n + C * (phi_n - phi_i) that fixes
+    C = -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i) > 0, once
+    P_n is placed.  Placing P_i forces its weight to P_{i-1}, whose
+    positive product it completes, and for i < n its weight sum; so each
+    placement reads one bucket of an index built once per call, in list
+    order.  A placement is cut when P_{i-1}'s positive target is not a
+    multiple of its product so far, or when the line's Gamma_i is not an
+    integer.  No other cut is needed.  Gamma_n < 0 (P_n's weights are
+    all negative), so C > 0.  The line's values sum to (n+1) * Gamma_n +
+    C * span = 0, as the Gamma_i do, so Gamma_1..Gamma_n on it put
+    Gamma_0 on it too.  A full placement so passes ``validate``
+    (increasing integer moment values, divisor weights, i negative
+    weights at P_i) and condition D (every Gamma_i on one line of
+    positive C) by construction, and its Lambda_i is r_i * r_{n-i} *
+    prod_{j!=i} (phi_j - phi_i).  On that line the battery is the row
+    sum_i phi_i^b / Lambda_i (b < n), whose kernel is spanned by
+    1 / prod_{j!=i} (phi_i - phi_j); so it passes, with volume 1 / r_n,
+    exactly when r_i * r_{n-i} = r_n for every i (Poincare duality).  A
+    ring without duality returns [], and nothing is checked after
+    assembly.  The result is deduplicated and sorted by flattened weight
+    lists.
 
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
@@ -273,15 +279,15 @@ def enumerate_weight_systems(
         nums[i] * nums[n - i] * dens[n] != nums[n] * dens[i] * dens[n - i] for i in range(n + 1)
     ):
         return []
-    top_gap = vals[n] - vals[n - 1]
+    span = sum(vals[n] - v for v in vals)
 
     # Key each assignment by what a placement forces: its last weight,
-    # and its sum too below P_{n-1}.  A bucket keeps list order.
+    # and its sum too below P_n.  A bucket keeps list order.
     buckets: list[dict] = []
     for i, assignments in enumerate(per_point, start=1):
         by_key: dict = {}
         for a in assignments:
-            by_key.setdefault((a[-1], sum(a)) if i <= n - 2 else a[-1], []).append(a)
+            by_key.setdefault((a[-1], sum(a)) if i < n else a[-1], []).append(a)
         buckets.append(by_key)
 
     unique: dict[tuple, FixedPointData] = {}
@@ -299,10 +305,10 @@ def enumerate_weight_systems(
         key, rest = divmod(-pos[i - 1], products[i - 1])
         if rest:
             continue
-        if i <= n - 2:
+        if i < n:
             # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
-            # C = (Gamma_{n-1} - Gamma_n) / top_gap.
-            offset, rest = divmod((gammas[n - 1] - gammas[n]) * (vals[n] - vals[i]), top_gap)
+            # C = -(n + 1) * Gamma_n / span.
+            offset, rest = divmod(-(n + 1) * gammas[n] * (vals[n] - vals[i]), span)
             if rest:
                 continue
             key = (key, gammas[n] + offset - gammas[i])
@@ -311,13 +317,6 @@ def enumerate_weight_systems(
             below = [p * -w for p, w in zip(products, assignment)]
             sums = [g - w for g, w in zip(gammas, assignment)]
             sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
-            # C = (Gamma_{n-1} - Gamma_n) / top_gap must be positive (at n = 1,
-            # P_1's one weight is negative), and Gamma_0 must lie on the line.
-            rise = sums[n - 1] - sums[n]
-            if i == n - 1 and rise <= 0:
-                continue
-            if i == 1 and (sums[0] - sums[n]) * top_gap != rise * (vals[n] - vals[0]):
-                continue
             stack.append((i - 1, (assignment,) + placed, below, sums))
     return [unique[k] for k in sorted(unique)]
 

@@ -430,6 +430,18 @@ def test_verify_wide_moment_gaps_is_fast(flags, capsys):
     assert elapsed < 2.0, f"verify took {elapsed:.3f}s"
 
 
+def test_readme_quadric_example_needs_a_larger_budget(capsys):
+    # The README's Q^11 example: the combination cap refuses it at the
+    # default budget, and it verifies at --budget 400000.
+    phi = "--phi=-11,-9,-7,-5,-3,-1,1,3,5,7,9,11"
+    assert main(["verify", "--ring", "quadric", phi]) == 3
+    assert capsys.readouterr().err == "error: 332640 candidate systems exceed the budget of 200000\n"
+    assert main(["verify", "--ring", "quadric", "--budget", "400000", phi]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS  ") == 4
+    assert out.endswith("equivalences verified\n")
+
+
 def test_verify_failure_exit_1(capsys):
     assert main(["verify", "--ring", "quadric", "--phi=-2,-1,1,3"]) == 1
     out = capsys.readouterr().out

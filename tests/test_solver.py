@@ -560,8 +560,10 @@ def _placement_instances(draw):
     return spec, phis, draw(st.sampled_from([None, None, 0, 1, 3, 50]))
 
 
-# Other rings whose search, without the cut of a placement at P_1 that
-# leaves Gamma_0 off the c1 line, returns one system off that line.
+# Other rings where a placement of P_n..P_2 on the line through Gamma_n
+# and Gamma_{n-1} completes at P_1 with Gamma_0 off it.  Their Gamma_i
+# still sum to 0, so the C that sum fixes is not that line's, and the
+# search refuses these placements below P_n.
 GAMMA_0_CUT = [
     (RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(1, 6), Fraction(1, 6))), [12, 23, 32, 33]),
     (RingSpec(RingKind.OTHER, 4, (1, 1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 9))), [7, 14, 23, 29, 34]),
@@ -574,8 +576,10 @@ def test_the_gamma_0_cut_refuses_a_placement_off_the_c1_line(spec, phis):
 
 
 def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
-    # What the first search above places without the cut: valid, with the
-    # ring's negative products, but Gamma_0 = 28 is off the line of the rest.
+    # What the first search above places on the line through Gamma_3 and
+    # Gamma_2: valid, with the ring's negative products, but Gamma_0 = 28
+    # is off the line of the rest.  The sum-zero C = 13/8 makes Gamma_2
+    # a non-integer, so the search never places this P_2.
     weights = [(7, 10, 11), (-11, 3, 5), (-10, -3, 1), (-7, -5, -1)]
     data = FixedPointData.from_weights([12, 23, 32, 33], weights)
     assert validate(data).is_valid
@@ -588,6 +592,8 @@ def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
 # and the solver assembles none.
 @example((RingSpec(RingKind.OTHER, 2, (1, 1, Fraction(1, 2))), [0, 1, 2], None))
 @example((*GAMMA_0_CUT[0], None))
+# The solve-deep benchmark's Q^7 shape, where P_n's choice branches.
+@example((RingSpec(RingKind.QUADRIC, 7), [-30, -24, -12, -6, 6, 12, 24, 30], None))
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
@@ -598,6 +604,27 @@ def test_placement_by_lookup_matches_the_flat_scan(instance):
     oracle = functools.partial(_flat_scan_weight_systems, accepted=accepted)
     expected, _ = _counted_search(oracle, spec, phis, budget)
     assert _counted_search(enumerate_weight_systems, spec, phis, budget) == (expected, len(accepted))
+
+
+# Here Gamma_3 = -7 and span = 10, so the line's Gamma_2 = -7 + 14/5 is
+# not an integer; a search that placed P_2 anyway returns one system off
+# the c1 line.
+@example((RingSpec(RingKind.QUADRIC, 3), [0, 3, 5, 6], None))
+@settings(max_examples=200)
+@given(_placement_instances())
+def test_every_system_has_the_sum_zero_c1_coefficient(instance):
+    # Paired weights make the Gamma_i sum to 0, so the c1 line's C is
+    # -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i).
+    spec, phis, budget = instance
+    try:
+        systems = enumerate_weight_systems(spec, phis, budget=budget)
+    except HamfixError:
+        return
+    n = spec.n
+    span = sum(phis[n] - v for v in phis)
+    for data in systems:
+        assert sum(p.gamma for p in data.points) == 0
+        assert c1_coefficient(data) == Fraction(-(n + 1) * data.points[n].gamma, span)
 
 
 # --- verify ------------------------------------------------------------------
