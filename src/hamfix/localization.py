@@ -23,22 +23,24 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable
 
 from .cohomology import _affine_fit
 from .core import FixedPointData, RatLike, rat
+from .errors import StructureError
 
 
-def abbv_sum(data: FixedPointData, coefficients: Sequence[RatLike]) -> Fraction:
+def abbv_sum(data: FixedPointData, coefficients: Iterable[RatLike]) -> Fraction:
     """Exact localization sum  sum_P a_P / Lambda_P.
 
-    ``coefficients`` lists the restrictions a_P of one class in point
-    order, one per fixed point; a length mismatch raises ValueError.
+    ``coefficients`` is any iterable of the restrictions a_P of one class
+    in point order, one per fixed point; another count raises
+    StructureError naming both counts.
     """
-    total = Fraction(0)
-    for p, a in zip(data.points, coefficients, strict=True):
-        total += rat(a) / p.lambda_all
-    return total
+    values = tuple(coefficients)
+    if len(values) != data.n + 1:
+        raise StructureError(f"{len(values)} coefficients given for {data.n + 1} fixed points")
+    return sum((rat(a) / p.lambda_all for p, a in zip(data.points, values)), Fraction(0))
 
 
 class BatteryFailure(namedtuple("BatteryFailure", "b value")):

@@ -78,31 +78,24 @@ def _divisors(m: int) -> list[int]:
 
 
 def _negative_assignments(
-    gaps: Sequence[int], target: int, budget: int, divisors: dict[int, list[int]]
+    gaps: Sequence[int], cofactor: int, budget: int, divisors: dict[int, list[int]]
 ) -> list[tuple[int, ...]]:
-    """All tuples (w_0..w_{k-1}) of negative integers with w_j dividing
-    gaps[j] (both negative) and product equal to ``target``, in
-    ascending lexicographic order of (|w_0|, .., |w_{k-1}|).
+    """All tuples (w_0..w_{k-1}) of negative integers w_j = gaps[j] / m_j
+    (every gap negative) whose positive integers m_j multiply to
+    ``cofactor``, in ascending lexicographic order of (|w_0|, .., |w_{k-1}|).
 
-    Writing w_j = gaps[j] / m_j with m_j a positive integer, the m_j
-    multiply to the cofactor M = prod |gaps| / |target|, so there is no
-    result unless M is an integer (1 / r_i for the point's ring ratio),
-    and each slot takes m_j from the divisors of gcd(what is left of M,
-    |gaps[j]|), in descending order (ascending |w_j|).  Once the cofactor
-    left is 1 every later slot takes its own gap, and the last slot takes
-    its gap over what is left if that divides.  So the work depends on M,
-    not on the size of the gaps: one result and no divisor listing for
-    projective space, one halved even gap for the quadric.  ``divisors``
-    maps a positive int to its ``_divisors``; the caller passes one dict
-    to every call of a search, and missing keys are added.
+    At P_i the cofactor is 1 / r_i, so the weights multiply to
+    r_i * prod(gaps).  Each slot takes m_j from the divisors of gcd(what
+    is left of the cofactor, |gaps[j]|), in descending order (ascending
+    |w_j|).  Once the cofactor left is 1 every later slot takes its own
+    gap, and the last slot takes its gap over what is left if that
+    divides.  So the work depends on the cofactor, not on the size of the
+    gaps: one result and no divisor listing for projective space, one
+    halved even gap for the quadric.  ``divisors`` maps a positive int to
+    its ``_divisors``; the caller passes one dict to every call of a
+    search, and missing keys are added.
     """
     k = len(gaps)
-    if target == 0 or (target < 0) != (k % 2 == 1):
-        return []
-    cofactor, rest = divmod(abs(prod(gaps)), abs(target))
-    if rest:
-        return []
-
     results: list[tuple[int, ...]] = []
     path = list(gaps)  # path[:j] holds the weights of the branch at slot j
     # (slot j, cofactor still to place, m_{j-1}).  Children are pushed in
@@ -192,22 +185,25 @@ def enumerate_weight_systems(
     """All fixed point data consistent with the paired-sphere ansatz.
 
     For each point P_i the i negative weights are assigned bijectively
-    to the points below, each dividing its moment gap and multiplying to
-    the ring's product target; positive weights are the forced mirrors.
-    The targets are exact ints (a point whose target is not an integer
-    has no assignment), and each point's assignments come from the
+    to the points below, each dividing its moment gap; positive weights
+    are the forced mirrors.  The ring's x^i is alpha_i / r_i, so 1 / r_i
+    is a positive integer, P_i's cofactor: the weights at P_i divide
+    their gaps by factors that multiply to it, and the positive weights
+    at P_i divide theirs by factors that multiply to 1 / r_{n-i}, so no
+    product of gaps is formed.  A point whose 1 / r_i is not an integer
+    has no assignment, and each point's assignments come from the
     cofactor search of ``_negative_assignments``, whose work depends on
-    the denominators of r, not on the size of the gaps.  They are
-    placed depth first from P_n down to P_1, on a stack that holds at
-    most one bucket per level, so no larger than the per-point lists.
-    Every weight is paired (-w at P_i, +w at P_j), so sum_i Gamma_i = 0,
-    and on the c1 line Gamma_i = Gamma_n + C * (phi_n - phi_i) that fixes
+    the cofactors, not on the size of the gaps.  They are placed depth
+    first from P_n down to P_1, on a stack that holds at most one bucket
+    per level, so no larger than the per-point lists.  Every weight is
+    paired (-w at P_i, +w at P_j), so sum_i Gamma_i = 0, and on the c1
+    line Gamma_i = Gamma_n + C * (phi_n - phi_i) that fixes
     C = -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i) > 0, once
-    P_n is placed.  Placing P_i forces its weight to P_{i-1}, whose
-    positive product it completes, and for i < n its weight sum; so each
-    placement reads one bucket of an index built once per call, in list
-    order.  A placement is cut when P_{i-1}'s positive target is not a
-    multiple of its product so far, or when the line's Gamma_i is not an
+    P_n is placed.  Placing P_i forces its weight to P_{i-1}, whose cofactor it
+    completes, and for i < n its weight sum; so each placement reads one
+    bucket of an index built once per call, in list order.  A placement
+    is cut when that weight, their gap over what is left of P_{i-1}'s
+    cofactor, is not an integer, or when the line's Gamma_i is not an
     integer.  No other cut is needed.  Gamma_n < 0 (P_n's weights are
     all negative), so C > 0.  The line's values sum to (n+1) * Gamma_n +
     C * span = 0, as the Gamma_i do, so Gamma_1..Gamma_n on it put
@@ -250,34 +246,22 @@ def enumerate_weight_systems(
                 need = "1" if i < 2 else "positive"
                 raise SpecMismatch(f"r-sequence entry r_{i} must be {need}, got {v}")
 
-    nums, dens = [v.numerator for v in r], [v.denominator for v in r]
-
-    def exact(i: int, gap_product: int) -> int | None:
-        # r_i * gap_product as an int, or None when it is not one.
-        q, rest = divmod(nums[i] * gap_product, dens[i])
-        return None if rest else q
-
+    # x^i = alpha_i / r_i with alpha_i a generator of H^{2i}(M; Z), so
+    # 1 / r_i is an integer: the point's cofactor, or None (no assignment).
+    cofactors = [v.denominator if v.numerator == 1 else None for v in r]
     # The points of one call share their cofactor-gap gcds, so each
     # distinct gcd's divisors are listed once per call.
     divisors: dict[int, list[int]] = {}
     per_point: list[list[tuple[int, ...]]] = []
     for i in range(1, n + 1):
         gaps = [vals[j] - vals[i] for j in range(i)]
-        target = exact(i, prod(gaps))
-        per_point.append(
-            [] if target is None else _negative_assignments(gaps, target, budget, divisors)
-        )
+        m = cofactors[i]
+        per_point.append([] if m is None else _negative_assignments(gaps, m, budget, divisors))
 
     total = prod(len(a) for a in per_point)
     if total > budget:
         raise SearchBudgetExceeded(f"{total} candidate systems exceed the budget of {budget}")
-
-    # A positive product is a product of divisors, so an integer; with
-    # r_0 = 1 and every r_i > 0 it is 1 at P_n and positive elsewhere.
-    pos = [exact(n - i, prod(vals[j] - vals[i] for j in range(i + 1, n + 1))) for i in range(n + 1)]
-    if None in pos or any(
-        nums[i] * nums[n - i] * dens[n] != nums[n] * dens[i] * dens[n - i] for i in range(n + 1)
-    ):
+    if None in cofactors or any(a * b != cofactors[n] for a, b in zip(cofactors, cofactors[::-1])):
         return []
     span = sum(vals[n] - v for v in vals)
 
@@ -291,18 +275,20 @@ def enumerate_weight_systems(
         buckets.append(by_key)
 
     unique: dict[tuple, FixedPointData] = {}
-    # (i, the assignments of P_{i+1}..P_n, products, gammas): products[j]
-    # (j < i) and gammas[j] are the positive product and weight sum at P_j
-    # so far.  A bucket is pushed in reverse, so it pops in list order.
+    # (i, the assignments of P_{i+1}..P_n, used, gammas): used[j] (j < i)
+    # is the part of 1 / r_{n-j} that P_j's positive weights so far divide
+    # their gaps by, and gammas[j] is P_j's weight sum so far.  A bucket is
+    # pushed in reverse, so it pops in list order.
     stack = [(n, (), [1] * n, [0] * (n + 1))]
     while stack:
-        i, placed, products, gammas = stack.pop()
+        i, placed, used, gammas = stack.pop()
         if i == 0:
             data = _assemble(vals, placed, n)
             unique.setdefault(tuple(p.weights for p in data.points), data)
             continue
-        # P_i's weight to P_{i-1} completes P_{i-1}'s positive product.
-        key, rest = divmod(-pos[i - 1], products[i - 1])
+        # P_i's weight to P_{i-1} divides their gap by the rest of 1 / r_{n-i+1}.
+        phi = vals[i]
+        key, rest = divmod((vals[i - 1] - phi) * used[i - 1], cofactors[n - i + 1])
         if rest:
             continue
         if i < n:
@@ -313,8 +299,9 @@ def enumerate_weight_systems(
                 continue
             key = (key, gammas[n] + offset - gammas[i])
         for assignment in reversed(buckets[i - 1].get(key, ())):
-            # P_j (j < i) gains the positive weight -w.
-            below = [p * -w for p, w in zip(products, assignment)]
+            # P_j (j < i) gains the positive weight -w, which divides
+            # their gap by (phi_j - phi_i) / w.
+            below = [u * ((v - phi) // w) for u, v, w in zip(used, vals, assignment)]
             sums = [g - w for g, w in zip(gammas, assignment)]
             sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
             stack.append((i - 1, (assignment,) + placed, below, sums))

@@ -76,8 +76,11 @@ def test_abbv_sum_quadric_degree():
 
 
 def test_abbv_sum_missing_restriction():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureError, match=r"^1 coefficients given for 2 fixed points$"):
         abbv_sum(cpn_model((0, 1)), [1])
+    with pytest.raises(StructureError, match=r"^3 coefficients given for 2 fixed points$"):
+        abbv_sum(cpn_model((0, 1)), iter([1, 2, 3]))
+    assert abbv_sum(cpn_model((0, 1)), (a for a in (1, 0))) == abbv_sum(cpn_model((0, 1)), [1, 0])
 
 
 def test_zero_weight_is_a_structure_error():

@@ -45,8 +45,8 @@ CASE2_WEIGHTS = [(1, 2, 3), (-1, 1, 5), (-1, -5, 1), (-1, -2, -3)]
 
 
 # --- product targets ---------------------------------------------------------
-# The solver computes its integer targets inline; these are the rational
-# formulas it must agree with.
+# The solver reads only the cofactors 1 / r_i and never forms these
+# products; they are the rational formulas its systems must meet.
 
 
 def lambda_minus_targets(spec, phis):
@@ -287,9 +287,9 @@ def test_enumerate_budget_caps_the_combinations_exactly():
     # whatever the pruned search then visits.
     spec = RingSpec(RingKind.QUADRIC, 3)
     phis = [-3, -1, 1, 3]
-    targets = lambda_minus_targets(spec, phis)
+    r = spec.r_sequence()
     counts = [
-        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], int(targets[i]), 100, {}))
+        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], int(1 / r[i]), 100, {}))
         for i in range(1, 4)
     ]
     assert counts == [1, 2, 3]
@@ -346,10 +346,15 @@ def _unbounded_negative_assignments(gaps, target, budget):
 
 
 def _int_target_search(gaps, target, budget):
-    # The search takes an int target; a fractional one has no assignment.
-    if target.denominator != 1:
+    # The search takes the cofactor prod|gaps| / |target|; a target that
+    # is not an int, is 0 or has the wrong sign, or whose cofactor is not
+    # an integer, has no assignment.
+    if target.denominator != 1 or target == 0 or (target < 0) != (len(gaps) % 2 == 1):
         return []
-    return _negative_assignments(gaps, target.numerator, budget, {})
+    cofactor = abs(math.prod(gaps) / target)
+    if cofactor.denominator != 1:
+        return []
+    return _negative_assignments(gaps, cofactor.numerator, budget, {})
 
 
 def _outcome(search, gaps, target, budget):
@@ -406,7 +411,7 @@ def test_cofactor_splits_match_the_unbounded_search(problem):
     [
         # The least useful divisor ceil(12 / 4) = 3 is itself a divisor.
         ((-6, -4), 12, [(-3, -4), (-6, -2)]),
-        # 9 is not divisible by the 6 or the 4 left after the first slot.
+        # The cofactor 54 / 12 is not an integer.
         ((-6, -9), 12, []),
         ((-6, -9), 18, [(-2, -9), (-6, -3)]),
         # target +-1, and one with the wrong sign for its slot count
@@ -425,20 +430,34 @@ def test_cofactor_splits_match_the_unbounded_search(problem):
     ],
 )
 def test_bounded_assignments_edge_cases(gaps, target, expected):
-    assert _negative_assignments(gaps, target, 10, {}) == expected
+    assert _int_target_search(gaps, Fraction(target), 10) == expected
     assert _unbounded_negative_assignments(gaps, Fraction(target), 10) == expected
+
+
+@pytest.mark.parametrize(
+    "gaps, cofactor",
+    [
+        # 9 is divisible by neither the 4 nor the 2 left after the first slot.
+        ((-6, -9), 4),
+        # a single slot: the cofactor must divide its gap
+        ((-12,), 5),
+    ],
+)
+def test_a_cofactor_no_split_divides_has_no_assignment(gaps, cofactor):
+    assert _negative_assignments(gaps, cofactor, 10, {}) == []
+    assert _unbounded_negative_assignments(gaps, Fraction(math.prod(gaps), cofactor), 10) == []
 
 
 def test_bounded_assignments_budget_counts_every_result():
     over = "^more than {} weight assignments at one point$"
-    for gaps, target in (((), 1), ((-6, -9), 18)):
+    for gaps, cofactor in (((), 1), ((-6, -9), 3)):
         with pytest.raises(SearchBudgetExceeded, match=over.format(0)):
-            _negative_assignments(gaps, target, 0, {})
-    assert len(_negative_assignments((-6, -9), 18, 2, {})) == 2
+            _negative_assignments(gaps, cofactor, 0, {})
+    assert len(_negative_assignments((-6, -9), 3, 2, {})) == 2
     with pytest.raises(SearchBudgetExceeded, match=over.format(1)):
-        _negative_assignments((-6, -9), 18, 1, {})
+        _negative_assignments((-6, -9), 3, 1, {})
     with pytest.raises(SearchBudgetExceeded, match=over.format(3)):
-        _negative_assignments((-4, -6, -9), -36, 3, {})
+        _negative_assignments((-4, -6, -9), 6, 3, {})
 
 
 # --- placement by lookup -----------------------------------------------------
@@ -594,6 +613,9 @@ def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
 @example((*GAMMA_0_CUT[0], None))
 # The solve-deep benchmark's Q^7 shape, where P_n's choice branches.
 @example((RingSpec(RingKind.QUADRIC, 7), [-30, -24, -12, -6, 6, 12, 24, 30], None))
+# A dual ring whose targets 12 and -108 are integers while 1 / r_2 = 3/2
+# is not: no point P_2 has an assignment.
+@example((RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(2, 3), Fraction(2, 3))), [0, 3, 6, 9], None))
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
@@ -614,7 +636,9 @@ def test_placement_by_lookup_matches_the_flat_scan(instance):
 @given(_placement_instances())
 def test_every_system_has_the_sum_zero_c1_coefficient(instance):
     # Paired weights make the Gamma_i sum to 0, so the c1 line's C is
-    # -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i).
+    # -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i).  The search
+    # forms no product of weights or gaps, so every system's Lambda_i^-
+    # and Lambda_i^+ are checked against the ring's targets here.
     spec, phis, budget = instance
     try:
         systems = enumerate_weight_systems(spec, phis, budget=budget)
@@ -625,6 +649,8 @@ def test_every_system_has_the_sum_zero_c1_coefficient(instance):
     for data in systems:
         assert sum(p.gamma for p in data.points) == 0
         assert c1_coefficient(data) == Fraction(-(n + 1) * data.points[n].gamma, span)
+        assert [p.lambda_minus for p in data.points] == lambda_minus_targets(spec, phis)
+        assert [p.lambda_plus for p in data.points] == positive_targets(spec, phis)
 
 
 # --- verify ------------------------------------------------------------------
