@@ -97,27 +97,26 @@ def _negative_assignments(
     """
     k = len(gaps)
     results: list[tuple[int, ...]] = []
-    path = list(gaps)  # path[:j] holds the weights of the branch at slot j
-    # (slot j, cofactor still to place, m_{j-1}).  Children are pushed in
-    # ascending m, so they pop in descending m: ascending |w|.
-    stack = [(0, cofactor, 1)]
+    # (the weights of slots 0..j-1, cofactor still to place).  Children are
+    # pushed in ascending m, so they pop in descending m: ascending |w|.
+    stack = [((), cofactor)]
     while stack:
-        j, remaining, m = stack.pop()
-        if j:
-            path[j - 1] = gaps[j - 1] // m
+        head, remaining = stack.pop()
+        j = len(head)
         if remaining == 1:
-            path[j:] = gaps[j:]
+            head += tuple(gaps[j:])
         elif j < k - 1:
-            key = gcd(remaining, gaps[j])
+            gap = gaps[j]
+            key = gcd(remaining, gap)
             if key not in divisors:
                 divisors[key] = _divisors(key)
-            stack += [(j + 1, remaining // d, d) for d in divisors[key]]
+            stack += [(head + (gap // d,), remaining // d) for d in divisors[key]]
             continue
         elif gaps[j] % remaining == 0:  # the last slot takes what is left
-            path[j] = gaps[j] // remaining
+            head += (gaps[j] // remaining,)
         else:
             continue
-        results.append(tuple(path))
+        results.append(head)
         if len(results) > budget:
             raise SearchBudgetExceeded(f"more than {budget} weight assignments at one point")
     return results
@@ -199,12 +198,18 @@ def enumerate_weight_systems(
     paired (-w at P_i, +w at P_j), so sum_i Gamma_i = 0, and on the c1
     line Gamma_i = Gamma_n + C * (phi_n - phi_i) that fixes
     C = -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i) > 0, once
-    P_n is placed.  Placing P_i forces its weight to P_{i-1}, whose cofactor it
-    completes, and for i < n its weight sum; so each placement reads one
-    bucket of an index built once per call, in list order.  A placement
-    is cut when that weight, their gap over what is left of P_{i-1}'s
-    cofactor, is not an integer, or when the line's Gamma_i is not an
-    integer.  No other cut is needed.  Gamma_n < 0 (P_n's weights are
+    P_n is placed.  Placing P_i forces its weight to P_{i-1}, whose
+    cofactor it completes, and for i < n its weight sum; so each placement
+    reads one bucket of an index built once per call, in list order.  The
+    stack holds only the placed assignments; the rest is read off them.
+    The forced weight, their gap over what is left of P_{i-1}'s cofactor,
+    is read by floor division: if it is not an integer, the floor makes
+    |w| too large and P_{i-1}'s positive factors multiply to less than
+    1 / r_{n-i+1}.  But each sphere's factor counts once at each pole and
+    each point's negative factors multiply to its cofactor, so on a full
+    placement the positive factors multiply to prod_i 1 / r_i =
+    prod_i 1 / r_{n-i}, and no point is short.  The one cut is a line's
+    Gamma_i that is not an integer.  Gamma_n < 0 (P_n's weights are
     all negative), so C > 0.  The line's values sum to (n+1) * Gamma_n +
     C * span = 0, as the Gamma_i do, so Gamma_1..Gamma_n on it put
     Gamma_0 on it too.  A full placement so passes ``validate``
@@ -261,7 +266,7 @@ def enumerate_weight_systems(
     total = prod(len(a) for a in per_point)
     if total > budget:
         raise SearchBudgetExceeded(f"{total} candidate systems exceed the budget of {budget}")
-    if None in cofactors or any(a * b != cofactors[n] for a, b in zip(cofactors, cofactors[::-1])):
+    if not total or any(a * b != cofactors[n] for a, b in zip(cofactors, cofactors[::-1])):
         return []
     span = sum(vals[n] - v for v in vals)
 
@@ -275,36 +280,29 @@ def enumerate_weight_systems(
         buckets.append(by_key)
 
     unique: dict[tuple, FixedPointData] = {}
-    # (i, the assignments of P_{i+1}..P_n, used, gammas): used[j] (j < i)
-    # is the part of 1 / r_{n-j} that P_j's positive weights so far divide
-    # their gaps by, and gammas[j] is P_j's weight sum so far.  A bucket is
-    # pushed in reverse, so it pops in list order.
-    stack = [(n, (), [1] * n, [0] * (n + 1))]
+    # (i, the assignments of P_{i+1}..P_n).  A bucket is pushed in
+    # reverse, so it pops in list order.
+    stack = [(n, ())]
     while stack:
-        i, placed, used, gammas = stack.pop()
+        i, placed = stack.pop()
         if i == 0:
             data = _assemble(vals, placed, n)
             unique.setdefault(tuple(p.weights for p in data.points), data)
             continue
-        # P_i's weight to P_{i-1} divides their gap by the rest of 1 / r_{n-i+1}.
-        phi = vals[i]
-        key, rest = divmod((vals[i - 1] - phi) * used[i - 1], cofactors[n - i + 1])
-        if rest:
-            continue
+        # P_{i-1}'s positive weights so far divide their gaps by `used`;
+        # P_i's weight to P_{i-1} divides theirs by the rest of 1 / r_{n-i+1}.
+        low = vals[i - 1]
+        used = prod([(low - v) // a[i - 1] for v, a in zip(vals[i + 1 :], placed)])
+        key = (low - vals[i]) * used // cofactors[n - i + 1]
         if i < n:
-            # Gamma_i + sum = Gamma_n + C * (phi_n - phi_i) with
-            # C = -(n + 1) * Gamma_n / span.
-            offset, rest = divmod(-(n + 1) * gammas[n] * (vals[n] - vals[i]), span)
+            # Gamma_i = Gamma_n + C * (phi_n - phi_i), C = -(n + 1) * Gamma_n
+            # / span; P_i's positive weights so far sum to -sum(a[i]).
+            gamma_n = sum(placed[-1])
+            offset, rest = divmod(-(n + 1) * gamma_n * (vals[n] - vals[i]), span)
             if rest:
                 continue
-            key = (key, gammas[n] + offset - gammas[i])
-        for assignment in reversed(buckets[i - 1].get(key, ())):
-            # P_j (j < i) gains the positive weight -w, which divides
-            # their gap by (phi_j - phi_i) / w.
-            below = [u * ((v - phi) // w) for u, v, w in zip(used, vals, assignment)]
-            sums = [g - w for g, w in zip(gammas, assignment)]
-            sums += [gammas[i] + sum(assignment), *gammas[i + 1 :]]
-            stack.append((i - 1, (assignment,) + placed, below, sums))
+            key = (key, gamma_n + offset + sum([a[i] for a in placed]))
+        stack += [(i - 1, (a,) + placed) for a in reversed(buckets[i - 1].get(key, ()))]
     return [unique[k] for k in sorted(unique)]
 
 

@@ -8,6 +8,7 @@ from hamfix import FixedPointData, cpn_model, quadric_model
 settings.register_profile(
     "hamfix",
     deadline=None,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("hamfix")

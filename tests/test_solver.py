@@ -616,6 +616,16 @@ def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
 # A dual ring whose targets 12 and -108 are integers while 1 / r_2 = 3/2
 # is not: no point P_2 has an assignment.
 @example((RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(2, 3), Fraction(2, 3))), [0, 3, 6, 9], None))
+# P_4's weight to P_3 is not an integer on two branches, and its floor
+# keys a one-assignment bucket at level 4; that leaves P_3 short of its
+# cofactor, so neither branch completes and both sides return ([], 0).
+@example(
+    (
+        RingSpec(RingKind.OTHER, 5, (1, 1, Fraction(1, 4), Fraction(1, 3), Fraction(1, 12), Fraction(1, 12))),
+        [0, 2, 4, 6, 8, 10],
+        None,
+    )
+)
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
