@@ -32,6 +32,10 @@ EXIT_BUDGET = 3
 
 _MODELS = {"cpn": cpn_model, "quadric": quadric_model}
 _RINGS = {"cpn": RingKind.PROJECTIVE_SPACE, "quadric": RingKind.QUADRIC, "other": RingKind.OTHER}
+_OTHER_RING_ANSATZ = (
+    "searched under the paired-sphere ansatz only: systems outside it are not listed, "
+    "and a count of 0 does not prove that none exist"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="solver cap on the weight assignments found at one point and on "
-        "the number of their combinations (default 200000)",
+        help="solver cap on the weight assignments one search finds and on "
+        "the number of assignments placed (default 200000)",
     )
 
     parser = argparse.ArgumentParser(
@@ -222,6 +226,9 @@ def _cmd_solve(args) -> int:
     for k, data in enumerate(systems, start=1):
         lines.append(f"system {k}: phi = {_format_rat_list(data.moment_values)}")
         lines += [f"  P_{p.index}: {_format_rat_list(p.weights)}" for p in data.points]
+    if spec.kind is RingKind.OTHER:  # for the model rings the ansatz is a theorem
+        payload["ansatz"] = _OTHER_RING_ANSATZ
+        lines.append(_OTHER_RING_ANSATZ)
     return _report(args, payload, lines)
 
 

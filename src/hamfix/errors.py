@@ -23,7 +23,7 @@ class SpecMismatch(HamfixError):
 
 
 class SearchBudgetExceeded(HamfixError):
-    """The weight-system search would exceed its candidate budget."""
+    """The weight-system search would find or place more assignments than its budget."""
 
 
 class InconsistentGamma(HamfixError):

@@ -84,12 +84,12 @@ def _negative_assignments(
     (every gap negative) whose positive integers m_j multiply to
     ``cofactor``, in ascending lexicographic order of (|w_0|, .., |w_{k-1}|).
 
-    At P_i the cofactor is 1 / r_i, so the weights multiply to
-    r_i * prod(gaps).  Each slot takes m_j from the divisors of gcd(what
-    is left of the cofactor, |gaps[j]|), in descending order (ascending
-    |w_j|).  Once the cofactor left is 1 every later slot takes its own
-    gap, and the last slot takes its gap over what is left if that
-    divides.  So the work depends on the cofactor, not on the size of the
+    For P_i's bucket of last weight w the gaps are P_i's first i - 1 and
+    the cofactor is 1 / r_i over w's factor.  Each slot takes m_j from the
+    divisors of gcd(what is left of the cofactor, |gaps[j]|), in
+    descending order (ascending |w_j|).  Once the cofactor left is 1
+    every later slot takes its own gap, and the last slot, if any, takes
+    its gap over what is left if that divides.  So the work depends on the cofactor, not on the size of the
     gaps: one result and no divisor listing for projective space, one
     halved even gap for the quadric.  ``divisors`` maps a positive int to
     its ``_divisors``; the caller passes one dict to every call of a
@@ -112,7 +112,7 @@ def _negative_assignments(
                 divisors[key] = _divisors(key)
             stack += [(head + (gap // d,), remaining // d) for d in divisors[key]]
             continue
-        elif gaps[j] % remaining == 0:  # the last slot takes what is left
+        elif j < k and gaps[j] % remaining == 0:  # the last slot takes what is left
             head += (gaps[j] // remaining,)
         else:
             continue
@@ -189,50 +189,45 @@ def enumerate_weight_systems(
     is a positive integer, P_i's cofactor: the weights at P_i divide
     their gaps by factors that multiply to it, and the positive weights
     at P_i divide theirs by factors that multiply to 1 / r_{n-i}, so no
-    product of gaps is formed.  A point whose 1 / r_i is not an integer
-    has no assignment, and each point's assignments come from the
-    cofactor search of ``_negative_assignments``, whose work depends on
-    the cofactors, not on the size of the gaps.  They are placed depth
-    first from P_n down to P_1, on a stack that holds at most one bucket
-    per level, so no larger than the per-point lists.  Every weight is
-    paired (-w at P_i, +w at P_j), so sum_i Gamma_i = 0, and on the c1
-    line Gamma_i = Gamma_n + C * (phi_n - phi_i) that fixes
-    C = -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i) > 0, once
-    P_n is placed.  Placing P_i forces its weight to P_{i-1}, whose
-    cofactor it completes, and for i < n its weight sum; so each placement
-    reads one bucket of an index built once per call, in list order.  The
-    stack holds only the placed assignments; the rest is read off them.
-    The forced weight, their gap over what is left of P_{i-1}'s cofactor,
-    is read by floor division: if it is not an integer, the floor makes
-    |w| too large and P_{i-1}'s positive factors multiply to less than
-    1 / r_{n-i+1}.  But each sphere's factor counts once at each pole and
-    each point's negative factors multiply to its cofactor, so on a full
-    placement the positive factors multiply to prod_i 1 / r_i =
-    prod_i 1 / r_{n-i}, and no point is short.  The one cut is a line's
-    Gamma_i that is not an integer.  Gamma_n < 0 (P_n's weights are
-    all negative), so C > 0.  The line's values sum to (n+1) * Gamma_n +
-    C * span = 0, as the Gamma_i do, so Gamma_1..Gamma_n on it put
-    Gamma_0 on it too.  A full placement so passes ``validate``
-    (increasing integer moment values, divisor weights, i negative
-    weights at P_i) and condition D (every Gamma_i on one line of
-    positive C) by construction, and its Lambda_i is r_i * r_{n-i} *
-    prod_{j!=i} (phi_j - phi_i).  On that line the battery is the row
-    sum_i phi_i^b / Lambda_i (b < n), whose kernel is spanned by
-    1 / prod_{j!=i} (phi_i - phi_j); so it passes, with volume 1 / r_n,
-    exactly when r_i * r_{n-i} = r_n for every i (Poincare duality).  A
-    ring without duality returns [], and nothing is checked after
-    assembly.  The result is deduplicated and sorted by flattened weight
-    lists.
+    product of gaps is formed.  Points are placed depth first from P_n
+    down to P_1, on a stack that holds only the placed assignments.
+    Every weight is paired (-w at P_i, +w at P_j), so sum_i Gamma_i = 0,
+    and on the c1 line Gamma_i = Gamma_n + C * (phi_n - phi_i) that
+    fixes C = -(n+1) * Gamma_n / span, span = sum_i (phi_n - phi_i) > 0,
+    once P_n is placed.  Placing P_i forces its weight w to P_{i-1},
+    whose cofactor it completes, and for i < n its weight sum.  P_i's
+    assignments ending in w are one bucket, searched when a placement
+    first reads it and kept for the call: m = (phi_{i-1} - phi_i) / w
+    must be an integer dividing 1 / r_i, and ``_negative_assignments``
+    splits (1 / r_i) / m over the other i - 1 gaps, at a cost set by the
+    cofactors, not by the size of the gaps.  w, their gap over what is
+    left of P_{i-1}'s cofactor, is read by floor division: if it is not
+    an integer, the floor makes |w| too large and P_{i-1}'s positive
+    factors multiply to less than 1 / r_{n-i+1}.  But each sphere's
+    factor counts once at each pole and each point's negative factors
+    multiply to its cofactor, so on a full placement the positive
+    factors multiply to prod_i 1 / r_i = prod_i 1 / r_{n-i}, and no
+    point is short.  The one cut is a line's Gamma_i that is not an
+    integer.  Gamma_n < 0 (P_n's weights are all negative), so C > 0.
+    The line's values sum to (n+1) * Gamma_n + C * span = 0, as the
+    Gamma_i do, so Gamma_1..Gamma_n on it put Gamma_0 on it too.  A full
+    placement so passes ``validate`` and condition D by construction,
+    and its Lambda_i is r_i * r_{n-i} * prod_{j!=i} (phi_j - phi_i).  On
+    that line the battery is the row sum_i phi_i^b / Lambda_i (b < n),
+    whose kernel is spanned by 1 / prod_{j!=i} (phi_i - phi_j); so it
+    passes, with volume 1 / r_n, exactly when r_i * r_{n-i} = r_n for
+    every i (Poincare duality).  A ring without duality, or with a
+    1 / r_i that is not an integer, returns [] before any search, and
+    nothing is checked after assembly.  The result is deduplicated and
+    sorted by flattened weight lists.
 
     An Other ring must have r_0 = r_1 = 1 and every r_i > 0, as every
     genuine ring does; otherwise SpecMismatch names the first bad entry.
 
     ``budget`` (a nonnegative int, default 200000; ``--budget`` on the
-    command line) caps both the assignments found at one point and the
-    number of combinations of them (the product of the per-point counts);
-    exceeding either raises SearchBudgetExceeded rather than truncating.
-    Every point is searched before the combinations are counted, and
-    neither count depends on the lookup.
+    command line) caps the assignments one bucket search finds and the
+    assignments placed in all; exceeding either raises
+    SearchBudgetExceeded rather than truncating.
     """
     vals = _checked_phis(spec, phis)
     n = spec.n
@@ -254,34 +249,18 @@ def enumerate_weight_systems(
     # x^i = alpha_i / r_i with alpha_i a generator of H^{2i}(M; Z), so
     # 1 / r_i is an integer: the point's cofactor, or None (no assignment).
     cofactors = [v.denominator if v.numerator == 1 else None for v in r]
-    # The points of one call share their cofactor-gap gcds, so each
-    # distinct gcd's divisors are listed once per call.
-    divisors: dict[int, list[int]] = {}
-    per_point: list[list[tuple[int, ...]]] = []
-    for i in range(1, n + 1):
-        gaps = [vals[j] - vals[i] for j in range(i)]
-        m = cofactors[i]
-        per_point.append([] if m is None else _negative_assignments(gaps, m, budget, divisors))
-
-    total = prod(len(a) for a in per_point)
-    if total > budget:
-        raise SearchBudgetExceeded(f"{total} candidate systems exceed the budget of {budget}")
-    if not total or any(a * b != cofactors[n] for a, b in zip(cofactors, cofactors[::-1])):
+    if None in cofactors or any(a * b != cofactors[n] for a, b in zip(cofactors, cofactors[::-1])):
         return []
     span = sum(vals[n] - v for v in vals)
-
-    # Key each assignment by what a placement forces: its last weight,
-    # and its sum too below P_n.  A bucket keeps list order.
-    buckets: list[dict] = []
-    for i, assignments in enumerate(per_point, start=1):
-        by_key: dict = {}
-        for a in assignments:
-            by_key.setdefault((a[-1], sum(a)) if i < n else a[-1], []).append(a)
-        buckets.append(by_key)
-
+    # The buckets of one call share their cofactor-gap gcds, so each
+    # distinct gcd's divisors are listed once per call.
+    divisors: dict[int, list[int]] = {}
+    # (i, w) -> P_i's assignments ending in w, by weight sum below P_n.
+    buckets: dict[tuple[int, int], dict] = {}
+    placements = 0
     unique: dict[tuple, FixedPointData] = {}
     # (i, the assignments of P_{i+1}..P_n).  A bucket is pushed in
-    # reverse, so it pops in list order.
+    # reverse, so it pops in the search's order.
     stack = [(n, ())]
     while stack:
         i, placed = stack.pop()
@@ -291,9 +270,10 @@ def enumerate_weight_systems(
             continue
         # P_{i-1}'s positive weights so far divide their gaps by `used`;
         # P_i's weight to P_{i-1} divides theirs by the rest of 1 / r_{n-i+1}.
-        low = vals[i - 1]
+        low, gap = vals[i - 1], vals[i - 1] - vals[i]
         used = prod([(low - v) // a[i - 1] for v, a in zip(vals[i + 1 :], placed)])
-        key = (low - vals[i]) * used // cofactors[n - i + 1]
+        w = gap * used // cofactors[n - i + 1]
+        total = None  # P_n's weight sum is free
         if i < n:
             # Gamma_i = Gamma_n + C * (phi_n - phi_i), C = -(n + 1) * Gamma_n
             # / span; P_i's positive weights so far sum to -sum(a[i]).
@@ -301,8 +281,20 @@ def enumerate_weight_systems(
             offset, rest = divmod(-(n + 1) * gamma_n * (vals[n] - vals[i]), span)
             if rest:
                 continue
-            key = (key, gamma_n + offset + sum([a[i] for a in placed]))
-        stack += [(i - 1, (a,) + placed) for a in reversed(buckets[i - 1].get(key, ()))]
+            total = gamma_n + offset + sum([a[i] for a in placed])
+        bucket = buckets.get((i, w))
+        if bucket is None:
+            bucket = buckets[i, w] = {}
+            m, off = divmod(gap, w)
+            if not off and cofactors[i] % m == 0:
+                gaps = [v - vals[i] for v in vals[: i - 1]]
+                for a in _negative_assignments(gaps, cofactors[i] // m, budget, divisors):
+                    bucket.setdefault(sum(a) + w if i < n else None, []).append(a + (w,))
+        children = bucket.get(total, ())
+        placements += len(children)
+        if placements > budget:
+            raise SearchBudgetExceeded(f"more than {budget} weight assignments placed")
+        stack += [(i - 1, (a,) + placed) for a in reversed(children)]
     return [unique[k] for k in sorted(unique)]
 
 

@@ -333,6 +333,23 @@ def test_solve_other_ring(capsys):
     assert payload["ring"] == "Other"
 
 
+def test_solve_other_ring_states_its_ansatz(capsys):
+    # CASE1 is a genuine system at these values, yet the paired-sphere
+    # search finds none: the output must not read as a proof.
+    ansatz = (
+        "searched under the paired-sphere ansatz only: systems outside it are not listed, "
+        "and a count of 0 does not prove that none exist"
+    )
+    argv = ["solve", "--ring", "other", "--r", "1,1,1/5,1/5", "--phi", "0,1,5,6"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"0 systems found\n{ansatz}\n"
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ansatz"] == ansatz
+    # a model ring's search is exhaustive, and says nothing more
+    assert main(["solve", "--ring", "cpn", "--phi", "0,1,2", "--json"]) == 0
+    assert "ansatz" not in json.loads(capsys.readouterr().out)
+
+
 def test_solve_other_requires_r(capsys):
     assert main(["solve", "--ring", "other", "--phi", "0,1,2"]) == 2
 
@@ -430,16 +447,26 @@ def test_verify_wide_moment_gaps_is_fast(flags, capsys):
     assert elapsed < 2.0, f"verify took {elapsed:.3f}s"
 
 
-def test_readme_quadric_example_needs_a_larger_budget(capsys):
-    # The README's Q^11 example: the combination cap refuses it at the
-    # default budget, and it verifies at --budget 400000.
-    phi = "--phi=-11,-9,-7,-5,-3,-1,1,3,5,7,9,11"
-    assert main(["verify", "--ring", "quadric", phi]) == 3
-    assert capsys.readouterr().err == "error: 332640 candidate systems exceed the budget of 200000\n"
-    assert main(["verify", "--ring", "quadric", "--budget", "400000", phi]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS  ") == 4
-    assert out.endswith("equivalences verified\n")
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # the README's Q^11 example, and Q^15 at b = 1..8 and Q^13 at
+        # b = 2, 4, ..., 14: 332,640, 705,600 and 8,648,640 combinations
+        # of their per-point assignments, but 20, 21 and 24 placements
+        "-11,-9,-7,-5,-3,-1,1,3,5,7,9,11",
+        "-8,-7,-6,-5,-4,-3,-2,-1,1,2,3,4,5,6,7,8",
+        "-14,-12,-10,-8,-6,-4,-2,2,4,6,8,10,12,14",
+    ],
+    ids=["q11", "q15", "q13"],
+)
+def test_quadric_examples_verify_at_the_default_budget(phi, capsys):
+    # The budget caps placements, not the product of the per-point
+    # counts, which once refused each of these with exit 3.
+    assert main(["verify", "--ring", "quadric", f"--phi={phi}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("PASS  ") == 4
+    assert captured.out.endswith("equivalences verified\n")
 
 
 def test_verify_failure_exit_1(capsys):

@@ -47,3 +47,22 @@ def test_mutated_golden_documents_keep_the_exit_code_contract(tmp_path, capsys):
                     seen.add(code)
         capsys.readouterr()
     assert {0, 2} <= seen  # an edit inside meta passes; the rest are refused
+
+
+def test_deeply_nested_documents_exit_2(tmp_path, capsys):
+    # 10^5 nested arrays, written as raw text since json.dumps cannot
+    # serialize that depth: as the document, as a weight and as a meta value.
+    deep = "[" * 10**5 + "]" * 10**5
+    text = (DATA_DIR / "q3_meta.golden.json").read_text(encoding="utf-8")
+    documents = {
+        "root": deep,
+        "weights": text.replace('"weights": [1, 2, 3]', f'"weights": [{deep}, 2, 3]', 1),
+        "meta": text.replace('"golden fixture"', deep, 1),
+    }
+    assert len(set(documents.values()) | {text}) == 4
+    target = tmp_path / "deep.json"
+    for place, document in documents.items():
+        target.write_text(document, encoding="utf-8")
+        for command in ("check", "ring", "chern"):
+            assert main([command, str(target)]) == 2, (place, command)
+            assert capsys.readouterr().err.startswith("error: $: unreadable JSON: "), (place, command)

@@ -282,20 +282,40 @@ def test_enumerate_deeper_than_the_recursion_limit():
     assert found == expected
 
 
-def test_enumerate_budget_caps_the_combinations_exactly():
-    # Per-point assignment counts 1, 2, 3: the cap on combinations is 6,
-    # whatever the pruned search then visits.
-    spec = RingSpec(RingKind.QUADRIC, 3)
-    phis = [-3, -1, 1, 3]
-    r = spec.r_sequence()
-    counts = [
-        len(_negative_assignments([phis[j] - phis[i] for j in range(i)], int(1 / r[i]), 100, {}))
-        for i in range(1, 4)
-    ]
-    assert counts == [1, 2, 3]
-    with pytest.raises(SearchBudgetExceeded, match=r"^6 candidate systems exceed the budget of 5$"):
-        enumerate_weight_systems(spec, phis, budget=5)
-    assert enumerate_weight_systems(spec, phis, budget=6) == [quadric_model((3, 1))]
+@pytest.mark.parametrize(
+    "spec, phis, placements, expected",
+    [
+        # P_3's bucket holds (-3,-4,-2) and (-6,-2,-2).  The second puts
+        # Gamma_2 off the c1 line (Gamma_3 = -10, span = 12), so only the
+        # first goes on: one placement each at P_2 and P_1.
+        (RingSpec(RingKind.QUADRIC, 3), [-3, -1, 1, 3], 4, quadric_model((3, 1))),
+        # one assignment per point
+        (RingSpec(RingKind.PROJECTIVE_SPACE, 3), [0, 1, 2, 3], 3, cpn_model(range(4))),
+        # The README's Q^11 example: 332,640 combinations of its per-point
+        # assignments, 20 placements.
+        (RingSpec(RingKind.QUADRIC, 11), list(range(-11, 12, 2)), 20, quadric_model(range(11, 0, -2))),
+    ],
+    ids=["q3", "cp3", "q11"],
+)
+def test_enumerate_budget_caps_the_placements_exactly(spec, phis, placements, expected):
+    over = rf"^more than {placements - 1} weight assignments placed$"
+    with pytest.raises(SearchBudgetExceeded, match=over):
+        enumerate_weight_systems(spec, phis, budget=placements - 1)
+    assert enumerate_weight_systems(spec, phis, budget=placements) == [expected]
+
+
+def test_only_the_buckets_a_placement_reads_are_searched(monkeypatch):
+    # Q^3 at -3,-1,1,3 (above): one bucket read at each level, so three
+    # cofactor searches, each over the gaps below the forced weight.
+    searches = []
+
+    def recorded(gaps, cofactor, budget, divisors):
+        searches.append((list(gaps), cofactor))
+        return _negative_assignments(gaps, cofactor, budget, divisors)
+
+    monkeypatch.setattr("hamfix.solver._negative_assignments", recorded)
+    enumerate_weight_systems(RingSpec(RingKind.QUADRIC, 3), [-3, -1, 1, 3])
+    assert searches == [([-6, -4], 2), ([-4], 1), ([], 1)]
 
 
 @pytest.mark.parametrize("g", [10**18, 10**39 + 7])
@@ -303,7 +323,7 @@ def test_enumerate_huge_gaps_without_listing_their_divisors(g):
     # The cofactor is 1 for CP^n and at most 2 for Q^n, so no gap is
     # factored: a divisor listing of a gap near 1e18 would take minutes.
     start = time.perf_counter()
-    cpn = enumerate_weight_systems(RingSpec(RingKind.PROJECTIVE_SPACE, 3), [0, g, 2 * g, 3 * g], budget=1)
+    cpn = enumerate_weight_systems(RingSpec(RingKind.PROJECTIVE_SPACE, 3), [0, g, 2 * g, 3 * g], budget=3)
     quadric = enumerate_weight_systems(RingSpec(RingKind.QUADRIC, 3), [-3 * g, -g, g, 3 * g])
     assert time.perf_counter() - start < 1
     assert cpn == [cpn_model([0, g, 2 * g, 3 * g])]
@@ -441,6 +461,8 @@ def test_bounded_assignments_edge_cases(gaps, target, expected):
         ((-6, -9), 4),
         # a single slot: the cofactor must divide its gap
         ((-12,), 5),
+        # no slot: only the cofactor 1 is split (this once raised IndexError)
+        ((), 2),
     ],
 )
 def test_a_cofactor_no_split_divides_has_no_assignment(gaps, cofactor):
@@ -463,29 +485,20 @@ def test_bounded_assignments_budget_counts_every_result():
 # --- placement by lookup -----------------------------------------------------
 
 
-def _flat_scan_weight_systems(spec, phis, *, accepted, budget=None):
+def _flat_scan_weight_systems(spec, phis, *, accepted):
     # The placement that scans every assignment of a point and tests the
     # forced last weight and the line for each: the reference the
     # bucketed lookup must match, on Fraction targets and the unbounded
-    # divisor search.  Each candidate its checks accept is appended to
-    # ``accepted``.
+    # divisor search, with no budget.  Each candidate its checks accept
+    # is appended to ``accepted``.
     vals = list(phis)
     n = spec.n
     targets = lambda_minus_targets(spec, vals)
     pos_targets = positive_targets(spec, vals)
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    elif budget < 0:
-        raise SpecMismatch(f"budget must be nonnegative, got {budget}")
-
     per_point = []
     for i in range(1, n + 1):
         gaps = [vals[j] - vals[i] for j in range(i)]
-        per_point.append(_unbounded_negative_assignments(gaps, targets[i], budget))
-
-    total = math.prod(len(a) for a in per_point)
-    if total > budget:
-        raise SearchBudgetExceeded(f"{total} candidate systems exceed the budget of {budget}")
+        per_point.append(_unbounded_negative_assignments(gaps, targets[i], math.inf))
 
     if pos_targets[n] != 1 or any(t.denominator != 1 or t <= 0 for t in pos_targets):
         return []
@@ -527,7 +540,7 @@ def _flat_scan_weight_systems(spec, phis, *, accepted, budget=None):
     return [unique[k] for k in sorted(unique)]
 
 
-def _counted_search(search, spec, phis, budget):
+def _counted_search(search, spec, phis):
     # (systems or the exception's class and text, from_weights calls)
     calls = []
     from_weights = FixedPointData.from_weights.__func__
@@ -539,7 +552,7 @@ def _counted_search(search, spec, phis, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FixedPointData, "from_weights", classmethod(counting))
         try:
-            result = search(spec, phis, budget=budget)
+            result = search(spec, phis)
         except HamfixError as exc:
             result = f"{type(exc).__name__}: {exc}"
     return result, len(calls)
@@ -629,13 +642,19 @@ def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
-    # Same systems in the same order and the same budget outcome, and the
+    # At the default budget: the same systems in the same order, and the
     # solver assembles exactly the candidates the oracle's checks accept.
+    # At a drawn budget the search returns those systems or refuses.
     spec, phis, budget = instance
     accepted = []
     oracle = functools.partial(_flat_scan_weight_systems, accepted=accepted)
-    expected, _ = _counted_search(oracle, spec, phis, budget)
-    assert _counted_search(enumerate_weight_systems, spec, phis, budget) == (expected, len(accepted))
+    expected, _ = _counted_search(oracle, spec, phis)
+    assert _counted_search(enumerate_weight_systems, spec, phis) == (expected, len(accepted))
+    if budget is not None:
+        try:
+            assert enumerate_weight_systems(spec, phis, budget=budget) == expected
+        except SearchBudgetExceeded:
+            pass
 
 
 # Here Gamma_3 = -7 and span = 10, so the line's Gamma_2 = -7 + 14/5 is
