@@ -124,16 +124,29 @@ def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction, int, list[int
     cross products are equal.  Fractions are built only for (C, d) and
     for error messages; the integer moment scale (q, u) is returned too,
     for the battery.
+
+    Only the points before P_end are scaled, P_end the first point whose
+    denominator does not divide ``bound`` = |Gamma_0 - Gamma_1| *
+    lcm(den phi_0, den phi_1).  On the line, phi_j = phi_0 + (Gamma_0 -
+    Gamma_j)(phi_1 - phi_0) / (Gamma_0 - Gamma_1), whose denominator
+    divides ``bound``, so P_end fails its pair.  If Gamma_0 = Gamma_1,
+    C = 0 at best, and q = 1, u = phi compare the pairs with no scale.
     """
     gs = [p.gamma for p in data.points]
-    q, u = _integer_moments(data)
-    g0, u0 = gs[0], u[0]
-    rise, run = g0 - gs[1], u[1] - u0  # C = q * rise / run
+    phis = data.moment_values
+    g0, rise = gs[0], gs[0] - gs[1]
+    if rise:
+        bound = abs(rise) * lcm(phis[0].denominator, phis[1].denominator)
+        end = next((j for j, phi in enumerate(phis) if bound % phi.denominator), len(phis))
+        q, u = _integer_moments(phis[:end])
+    else:
+        end, q, u = len(phis), 1, list(phis)
+    u0, run = u[0], u[1] - u[0]  # C = q * rise / run
     for j in range(1, data.n + 1):
-        if u[j] == u0:
+        if j < end and u[j] == u0:  # phi_end is off the line, so not phi_0
             raise NonConstantC1(f"equal moment values at P_0 and P_{j}")
-        if (g0 - gs[j]) * run != rise * (u[j] - u0):
-            c, cj = Fraction(q * rise, run), Fraction(q * (g0 - gs[j]), u[j] - u0)
+        if j == end or (g0 - gs[j]) * run != rise * (u[j] - u0):
+            c, cj = Fraction(q * rise, run), (g0 - gs[j]) / (phis[j] - phis[0])
             raise NonConstantC1(f"pair (0,1) gives {c} but pair (0,{j}) gives {cj}")
     if len(set(u)) <= data.n:
         i, j = next((i, j) for i in range(len(u)) for j in range(i + 1, len(u)) if u[i] == u[j])

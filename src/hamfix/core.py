@@ -155,7 +155,11 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
         moment_values: Sequence[RatLike],
         weights: Sequence[Iterable[int]],
     ) -> "FixedPointData":
-        """Build data from parallel lists of moment values and weight lists."""
+        """Build data from parallel lists of moment values and weight lists.
+
+        This is the one place ``hamfix`` builds fixed point data: models,
+        documents and ``translated`` all come through here.
+        """
         if len(moment_values) != len(weights):
             raise StructureError("moment values and weight lists differ in length")
         n = len(moment_values) - 1
@@ -172,20 +176,19 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
     def translated(self, c: RatLike) -> "FixedPointData":
         """The same datum with every moment value shifted by ``c``."""
         shift = rat(c)
-        pts = tuple(
-            FixedPoint(p.index, p.moment_value + shift, p.weights) for p in self.points
+        return self.from_weights(
+            [p.moment_value + shift for p in self.points], [p.weights for p in self.points]
         )
-        return FixedPointData(self.n, pts)
 
     def normalized(self) -> "FixedPointData":
         """Translate so the smallest moment value is 0."""
         return self.translated(-self.points[0].moment_value)
 
 
-def _integer_moments(data: FixedPointData) -> tuple[int, list[int]]:
+def _integer_moments(phis: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(q, u): q the lcm of the moment value denominators, u_P = q * phi_P."""
-    q = lcm(*(p.moment_value.denominator for p in data.points))
-    return q, [p.moment_value.numerator * (q // p.moment_value.denominator) for p in data.points]
+    q = lcm(*(phi.denominator for phi in phis))
+    return q, [phi.numerator * (q // phi.denominator) for phi in phis]
 
 
 class Violation(namedtuple("Violation", "rule point message")):

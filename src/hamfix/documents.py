@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Any
 
-from .core import FixedPoint, FixedPointData, rat
+from .core import FixedPointData, rat
 from .errors import ParseError
 
 
@@ -43,6 +43,12 @@ def _parse_phi(value: Any, path: str) -> Fraction:
     raise ParseError(path, f"expected a rational string or integer, got {type(value).__name__}")
 
 
+def _check_meta(meta: Any) -> None:
+    """The one rule on ``meta``, for reading and writing: absent or an object."""
+    if meta is not None and not isinstance(meta, dict):
+        raise ParseError("meta", "expected an object")
+
+
 def document_from_json(obj: Any) -> InputDocument:
     """Build a document from already-decoded JSON, naming bad paths."""
     if not isinstance(obj, dict):
@@ -63,7 +69,7 @@ def document_from_json(obj: Any) -> InputDocument:
     if len(raw_points) != n + 1:
         raise ParseError("points", f"expected {n + 1} points for n = {n}, got {len(raw_points)}")
 
-    points = []
+    phis, weights = [], []
     for i, entry in enumerate(raw_points):
         base = f"points[{i}]"
         if not isinstance(entry, dict):
@@ -73,7 +79,7 @@ def document_from_json(obj: Any) -> InputDocument:
             raise ParseError(f"{base}.{sorted(unknown)[0]}", "unknown key")
         if "phi" not in entry:
             raise ParseError(f"{base}.phi", "missing")
-        phi = _parse_phi(entry["phi"], f"{base}.phi")
+        phis.append(_parse_phi(entry["phi"], f"{base}.phi"))
         raw_weights = entry.get("weights")
         if not isinstance(raw_weights, list):
             raise ParseError(f"{base}.weights", "expected an array of integers")
@@ -84,13 +90,11 @@ def document_from_json(obj: Any) -> InputDocument:
         for k, w in enumerate(raw_weights):
             if type(w) is not int:
                 raise ParseError(f"{base}.weights[{k}]", f"expected an integer weight, got {w!r}")
-        points.append(FixedPoint(i, phi, tuple(raw_weights)))
+        weights.append(raw_weights)
 
     meta = obj.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise ParseError("meta", "expected an object")
-
-    return InputDocument(FixedPointData(n, tuple(points)), meta)  # counts checked above
+    _check_meta(meta)
+    return InputDocument(FixedPointData.from_weights(phis, weights), meta)  # counts checked above
 
 
 def parse_document(text: str) -> InputDocument:
@@ -111,6 +115,8 @@ def serialize_document(doc: InputDocument) -> str:
     sorted.  Point lines are formatted directly, yet byte-equal to
     ``json.dumps``: it escapes none of the ``-0123456789/`` a
     ``str(Fraction)`` holds, and writes an int (subclass) by ``int.__repr__``.
+    A meta that ``parse_document`` would refuse, or that ``json`` cannot
+    encode, raises ``ParseError`` at path ``meta``.
 
     >>> data = FixedPointData.from_weights(["-1/2", "1/2"], [[1], [-1]])
     >>> print(serialize_document(InputDocument(data)), end="")
@@ -122,14 +128,17 @@ def serialize_document(doc: InputDocument) -> str:
       ]
     }
     """
+    _check_meta(doc.meta)
+    try:
+        meta = "" if doc.meta is None else ',\n  "meta": ' + json.dumps(doc.meta, sort_keys=True)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ParseError("meta", f"cannot be written as JSON: {exc}") from None
     point_lines = ",\n".join(
         f'    {{"phi": "{p.moment_value}", "weights": [{", ".join(map(int.__repr__, p.weights))}]}}'
         for p in doc.data.points
     )
     text = "{\n" + f'  "n": {doc.data.n},\n' + '  "points": [\n' + point_lines + "\n  ]"
-    if doc.meta is not None:
-        text += ',\n  "meta": ' + json.dumps(doc.meta, sort_keys=True)
-    return text + "\n}\n"
+    return text + meta + "\n}\n"
 
 
 def load_document(path: str) -> InputDocument:

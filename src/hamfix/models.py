@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import FixedPoint, FixedPointData
+from .core import FixedPointData
 from .errors import SpecMismatch, StructureError
 
 
@@ -83,11 +83,9 @@ def expected_weights_cpn(phis: Sequence[int]) -> FixedPointData:
     """The weight system forced by a projective-space cohomology ring:
     P_i carries exactly the moment gaps {phi_j - phi_i : j != i}."""
     vals = _check_increasing_ints(phis)
-    points = tuple(
-        FixedPoint(i, p, tuple(q - p for j, q in enumerate(vals) if j != i))
-        for i, p in enumerate(vals)
+    return FixedPointData.from_weights(
+        vals, [[q - p for j, q in enumerate(vals) if j != i] for i, p in enumerate(vals)]
     )
-    return FixedPointData(len(vals) - 1, points)
 
 
 def expected_weights_quadric(phis: Sequence[int]) -> FixedPointData:
@@ -106,9 +104,8 @@ def expected_weights_quadric(phis: Sequence[int]) -> FixedPointData:
                 f"moment gap phi(P_{n - i}) - phi(P_{i}) = {vals[n - i] - vals[i]} "
                 "is odd; its half-weight is not an integer"
             )
-    points = []
-    for i, p in enumerate(vals):
-        ws = [q - p for j, q in enumerate(vals) if j != i and j != n - i]
-        ws.append((vals[n - i] - p) // 2)
-        points.append(FixedPoint(i, p, tuple(ws)))
-    return FixedPointData(n, tuple(points))
+    weights = [
+        [q - p for j, q in enumerate(vals) if j != i and j != n - i] + [(vals[n - i] - p) // 2]
+        for i, p in enumerate(vals)
+    ]
+    return FixedPointData.from_weights(vals, weights)

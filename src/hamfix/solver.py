@@ -456,7 +456,7 @@ def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
     edge at all.  A zero weight raises StructureError.
     """
     n = data.n
-    q, u = _integer_moments(data)
+    q, u = _integer_moments(data.moment_values)
     # (|w|, residue of u mod q*|w|) -> the points below with an open +w, nearest last
     open_poles: dict[tuple[int, int], list[int]] = {}
     keys: list[tuple[int, int, int, bool]] = []  # (lower, upper, |w|, not paired)

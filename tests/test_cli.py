@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from hamfix import FixedPointData, InputDocument, cpn_model, quadric_model, serialize_document
+import hamfix.solver
+from hamfix import (
+    Check,
+    FixedPointData,
+    InputDocument,
+    RingKind,
+    RingSpec,
+    cpn_model,
+    quadric_model,
+    serialize_document,
+    verify_equivalence,
+)
 from hamfix.cli import _build_parser, _chern_polynomial, main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -134,6 +145,30 @@ def test_check_no_integrality_flag(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     capsys.readouterr()
     assert main(["check", str(path), "--no-integrality"]) == 0
+
+
+def test_check_refuses_data_off_the_c1_line_before_scaling_it(tmp_path, capsys):
+    # phi_i = i + 1/d_i with distinct 600-digit d_i: the lcm of all 400
+    # denominators has about 240,000 digits, and building it before the
+    # first pair was compared took seconds.  No point on the line through
+    # P_0 and P_1 can have P_2's denominator, so the fit stops at P_2.
+    n, base = 399, 10**599
+    phis = [i + Fraction(1, base + 2 * i + 1) for i in range(n + 1)]
+    data = FixedPointData.from_weights(phis, [[-1] * i + [1] * (n - i) for i in range(n + 1)])
+    path = write_model(tmp_path, data)
+    start = time.perf_counter()
+    assert main(["check", path, "--no-integrality"]) == 1
+    elapsed = time.perf_counter() - start
+    # Gamma_i = n - 2i
+    fit = f"pair (0,1) gives {2 / (phis[1] - phis[0])} but pair (0,2) gives {4 / (phis[2] - phis[0])}"
+    assert capsys.readouterr().out == (
+        "PASS  validate\n"
+        f"FAIL  c1-coefficient: {fit}\n"
+        f"FAIL  condition-d: {fit}\n"
+        "FAIL  vanishing-battery: not run: condition D failed\n"
+        "some checks failed\n"
+    )
+    assert elapsed < 1.0, f"check took {elapsed:.3f}s"
 
 
 def test_check_normalize_flag(tmp_path, capsys):
@@ -473,6 +508,36 @@ def test_verify_failure_exit_1(capsys):
     assert main(["verify", "--ring", "quadric", "--phi=-2,-1,1,3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+_CP2_LINES = {
+    "(2)=>(4)": "PASS  (2)=>(4): unique weight system matches the standard model",
+    "(4)=>(2)": "PASS  (4)=>(2): measured ring classifies as ProjectiveSpace",
+    "(4)=>(3)": "PASS  (4)=>(3): Chern coefficients 3, 3",
+    "(4)=>(1)": "PASS  (4)=>(1): C = 3 = n+1",
+}
+
+
+def _verify_cp2_fails_one_line(capsys, name, detail):
+    report = verify_equivalence(RingSpec(RingKind.PROJECTIVE_SPACE, 2), [0, 1, 2])
+    assert report.passed is False
+    assert [line for line in report.lines if not line.passed] == [Check(name, False, detail)]
+    assert main(["verify", "--ring", "cpn", "--phi", "0,1,2"]) == 1
+    lines = {**_CP2_LINES, name: f"FAIL  {name}: {detail}"}
+    assert capsys.readouterr().out == "\n".join([*lines.values(), "verification failed"]) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_verify_fails_2_implies_4_unless_one_system_is_found(monkeypatch, capsys, count):
+    # The line that reports the uniqueness half of the theorem failing.
+    systems = [cpn_model((0, 1, 2)), cpn_model((0, 2, 3))][:count]
+    monkeypatch.setattr(hamfix.solver, "enumerate_weight_systems", lambda *a, **k: systems)
+    _verify_cp2_fails_one_line(capsys, "(2)=>(4)", f"{count} consistent weight systems found")
+
+
+def test_verify_fails_4_implies_1_on_a_c1_off_the_reference(monkeypatch, capsys):
+    monkeypatch.setattr(hamfix.solver, "c1_coefficient", lambda data: Fraction(3 + 1))
+    _verify_cp2_fails_one_line(capsys, "(4)=>(1)", "C = 4, expected 3")
 
 
 def test_verify_bad_phi_exit_2(capsys):

@@ -193,8 +193,60 @@ def test_save_and_load_round_trip(tmp_path):
 def test_save_keeps_the_old_file_when_serializing_fails(tmp_path):
     path = tmp_path / "kept.json"
     path.write_text(CANONICAL_CP2, encoding="utf-8")
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError, match="^meta: cannot be written as JSON: "):
         save_document(InputDocument(cpn_model((0, 1)), {"k": {1, 2}}), str(path))
+    assert path.read_text(encoding="utf-8") == CANONICAL_CP2
+
+
+@pytest.mark.parametrize("meta", [[1, 2], "x", 3], ids=["list", "str", "int"])
+def test_save_refuses_a_meta_the_reader_refuses(tmp_path, meta):
+    # Once written, such a document could not be read back.
+    with pytest.raises(ParseError, match="^meta: expected an object$"):
+        parse_document(json.dumps(_one_sphere(meta=meta)))
+    path = tmp_path / "kept.json"
+    path.write_text(CANONICAL_CP2, encoding="utf-8")
+    with pytest.raises(ParseError, match="^meta: expected an object$") as err:
+        save_document(InputDocument(cpn_model((0, 1)), meta), str(path))
+    assert err.value.path == "meta"
+    assert path.read_text(encoding="utf-8") == CANONICAL_CP2
+
+
+def _circular_meta():
+    meta = {}
+    meta["self"] = meta
+    return meta
+
+
+def _nested_lists(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "meta, reason",
+    [
+        ({"x": Fraction(1, 2)}, "Object of type Fraction is not JSON serializable"),
+        pytest.param(
+            {"x": 10**5000},
+            "Exceeds the limit",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+            ),
+        ),
+        ({1: "a", "b": 2}, "'<' not supported between instances of "),
+        (_circular_meta(), "Circular reference detected"),
+        ({"a": _nested_lists(100_000)}, "maximum recursion depth exceeded"),
+    ],
+    ids=["fraction", "huge-int", "mixed-keys", "circular", "deep"],
+)
+def test_save_refuses_a_meta_json_cannot_encode(tmp_path, meta, reason):
+    path = tmp_path / "kept.json"
+    path.write_text(CANONICAL_CP2, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^meta: cannot be written as JSON: {re.escape(reason)}") as err:
+        save_document(InputDocument(cpn_model((0, 1)), meta), str(path))
+    assert err.value.path == "meta"
     assert path.read_text(encoding="utf-8") == CANONICAL_CP2
 
 
