@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .cohomology import RingKind, RingSpec, chern_coefficients, classify_ring, ring_coefficients
-from .core import FixedPointData, rat
+from .core import FixedPointData, _past_digit_limit, rat
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .models import cpn_model, quadric_model
@@ -252,6 +252,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except ValueError as exc:  # all output is built before any is written
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: {_past_digit_limit('the result')}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except (HamfixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SearchBudgetExceeded):

@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm, prod
 
-from .core import FixedPointData, _integer_moments, rat
+from .core import FixedPointData, _show, rat
 from .errors import HamfixError, NonConstantC1, NonPositiveC1, SpecMismatch, StructureError
 
 
@@ -111,50 +111,39 @@ class ChernData(namedtuple("ChernData", "sigma gamma")):
         return len(self.gamma)
 
 
-def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction, int, list[int]]:
-    """(C, d, q, u) with Gamma_i = C * (-phi_i) + d for all i, and C > 0.
+def _affine_fit(data: FixedPointData) -> tuple[Fraction, Fraction]:
+    """(C, d) with Gamma_i = C * (-phi_i) + d for all i, and C > 0.
 
     If every pair (0, j) gives the quotient C, the points lie on one
     line, so every pair with distinct moment values does too.  Errors
     name the first failing pair in lexicographic order.
 
-    The pairs are compared in integers, on u = q*phi with q the lcm of
-    the denominators: pair (0, j) gives C = q*(Gamma_0 - Gamma_j) /
-    (u_j - u_0), so it agrees with pair (0, 1) exactly when the two
-    cross products are equal.  Fractions are built only for (C, d) and
-    for error messages; the integer moment scale (q, u) is returned too,
-    for the battery.
-
-    Only the points before P_end are scaled, P_end the first point whose
-    denominator does not divide ``bound`` = |Gamma_0 - Gamma_1| *
-    lcm(den phi_0, den phi_1).  On the line, phi_j = phi_0 + (Gamma_0 -
-    Gamma_j)(phi_1 - phi_0) / (Gamma_0 - Gamma_1), whose denominator
-    divides ``bound``, so P_end fails its pair.  If Gamma_0 = Gamma_1,
-    C = 0 at best, and q = 1, u = phi compare the pairs with no scale.
+    Each pair is compared in integers on its own numerators and
+    denominators, phi = a/b in lowest terms: with run = (phi_1 - phi_0) *
+    b_0 * b_1 and dist_j = (phi_j - phi_0) * b_0 * b_j, pair (0, j) gives
+    pair (0, 1)'s C = rise * b_0 * b_1 / run, rise = Gamma_0 - Gamma_1,
+    exactly when (Gamma_0 - Gamma_j) * run * b_j == rise * dist_j * b_1.
+    Fractions are built only for (C, d) and for error messages.
     """
     gs = [p.gamma for p in data.points]
     phis = data.moment_values
-    g0, rise = gs[0], gs[0] - gs[1]
-    if rise:
-        bound = abs(rise) * lcm(phis[0].denominator, phis[1].denominator)
-        end = next((j for j, phi in enumerate(phis) if bound % phi.denominator), len(phis))
-        q, u = _integer_moments(phis[:end])
-    else:
-        end, q, u = len(phis), 1, list(phis)
-    u0, run = u[0], u[1] - u[0]  # C = q * rise / run
+    nums, dens = [phi.numerator for phi in phis], [phi.denominator for phi in phis]
+    g0, a0, b0, b1 = gs[0], nums[0], dens[0], dens[1]
+    rise, run = g0 - gs[1], nums[1] * b0 - a0 * b1
     for j in range(1, data.n + 1):
-        if j < end and u[j] == u0:  # phi_end is off the line, so not phi_0
+        dist = nums[j] * b0 - a0 * dens[j]
+        if not dist:
             raise NonConstantC1(f"equal moment values at P_0 and P_{j}")
-        if j == end or (g0 - gs[j]) * run != rise * (u[j] - u0):
-            c, cj = Fraction(q * rise, run), (g0 - gs[j]) / (phis[j] - phis[0])
-            raise NonConstantC1(f"pair (0,1) gives {c} but pair (0,{j}) gives {cj}")
-    if len(set(u)) <= data.n:
-        i, j = next((i, j) for i in range(len(u)) for j in range(i + 1, len(u)) if u[i] == u[j])
-        raise NonConstantC1(f"equal moment values at P_{i} and P_{j}")
-    c = Fraction(q * rise, run)
+        if (g0 - gs[j]) * run * dens[j] != rise * dist * b1:
+            c, cj = Fraction(rise * b0 * b1, run), (g0 - gs[j]) / (phis[j] - phis[0])
+            raise NonConstantC1(f"pair (0,1) gives {_show(c)} but pair (0,{j}) gives {_show(cj)}")
+    if len(set(zip(nums, dens))) <= data.n:
+        i = next(i for i, phi in enumerate(phis) if phi in phis[i + 1 :])
+        raise NonConstantC1(f"equal moment values at P_{i} and P_{phis.index(phis[i], i + 1)}")
+    c = Fraction(rise * b0 * b1, run)
     if rise * run <= 0:
-        raise NonPositiveC1(f"common c1 coefficient {c} is not positive")
-    return c, Fraction(g0 * run + rise * u0, run), q, u
+        raise NonPositiveC1(f"common c1 coefficient {_show(c)} is not positive")
+    return c, Fraction(g0 * run + rise * a0 * b1, run)
 
 
 def c1_coefficient(data: FixedPointData) -> Fraction:
@@ -178,7 +167,7 @@ def _distinct_gammas(data: FixedPointData) -> list[int]:
     seen: dict[int, int] = {}
     for i, g in enumerate(gs):
         if g in seen:
-            raise HamfixError(f"Gamma_{seen[g]} = Gamma_{i} = {g}")
+            raise HamfixError(f"Gamma_{seen[g]} = Gamma_{i} = {_show(g)}")
         seen[g] = i
     return gs
 

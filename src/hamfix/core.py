@@ -19,7 +19,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, StructureError
@@ -68,6 +68,33 @@ def rat(value: RatLike) -> Fraction:
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
         raise ParseError("", f"numerator or denominator past the {limit}-digit limit")
     return out
+
+
+def _show(value: int | Fraction) -> str:
+    """``str(value)``, but an integer past the interpreter's digit limit is
+    written as a placeholder that names its size, such as ``<4301 digits>``."""
+    try:
+        return str(value)
+    except ValueError:  # the digit limit
+        pass
+    texts = []
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    for part in parts:
+        try:
+            texts.append(str(part))
+        except ValueError:
+            size = abs(part)
+            digits = (size.bit_length() - 1) * 301029995 // 10**9 + 1  # 0.301029995 < log10(2)
+            while size >= 10**digits:
+                digits += 1
+            texts.append(f"{'-' if part < 0 else ''}<{digits} digits>")
+    return "/".join(texts)
+
+
+def _past_digit_limit(what: str) -> str:
+    """Why ``what`` cannot be written out: an integer past the digit limit."""
+    limit = sys.get_int_max_str_digits()  # str() fails only under a limit
+    return f"{what} holds an integer past the {limit}-digit limit; set PYTHONINTMAXSTRDIGITS"
 
 
 class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
@@ -185,12 +212,6 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
         return self.translated(-self.points[0].moment_value)
 
 
-def _integer_moments(phis: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(q, u): q the lcm of the moment value denominators, u_P = q * phi_P."""
-    q = lcm(*(phi.denominator for phi in phis))
-    return q, [phi.numerator * (q // phi.denominator) for phi in phis]
-
-
 class Violation(namedtuple("Violation", "rule point message")):
     """One broken ``validate`` rule, at the point it names, with its message."""
 
@@ -235,7 +256,7 @@ def validate(data: FixedPointData, *, require_integral_differences: bool = True)
                     "monotone-moments",
                     i,
                     "moment values not strictly increasing: "
-                    f"phi(P_{i - 1}) = {phis[i - 1]} vs phi(P_{i}) = {phis[i]}",
+                    f"phi(P_{i - 1}) = {_show(phis[i - 1])} vs phi(P_{i}) = {_show(phis[i])}",
                 )
             )
 
@@ -248,7 +269,8 @@ def validate(data: FixedPointData, *, require_integral_differences: bool = True)
                     Violation(
                         "integral-differences",
                         i,
-                        f"moment difference phi(P_{i}) - phi(P_{i - 1}) = {diff} is not an integer",
+                        f"moment difference phi(P_{i}) - phi(P_{i - 1}) = {_show(diff)} "
+                        "is not an integer",
                     )
                 )
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Any
 
-from .core import FixedPointData, rat
+from .core import FixedPointData, _past_digit_limit, rat
 from .errors import ParseError
 
 
@@ -116,7 +116,8 @@ def serialize_document(doc: InputDocument) -> str:
     ``json.dumps``: it escapes none of the ``-0123456789/`` a
     ``str(Fraction)`` holds, and writes an int (subclass) by ``int.__repr__``.
     A meta that ``parse_document`` would refuse, or that ``json`` cannot
-    encode, raises ``ParseError`` at path ``meta``.
+    encode, raises ``ParseError`` at path ``meta``, and a point whose
+    numbers pass the interpreter's digit limit at its path ``points[i]``.
 
     >>> data = FixedPointData.from_weights(["-1/2", "1/2"], [[1], [-1]])
     >>> print(serialize_document(InputDocument(data)), end="")
@@ -133,10 +134,14 @@ def serialize_document(doc: InputDocument) -> str:
         meta = "" if doc.meta is None else ',\n  "meta": ' + json.dumps(doc.meta, sort_keys=True)
     except (TypeError, ValueError, RecursionError) as exc:
         raise ParseError("meta", f"cannot be written as JSON: {exc}") from None
-    point_lines = ",\n".join(
-        f'    {{"phi": "{p.moment_value}", "weights": [{", ".join(map(int.__repr__, p.weights))}]}}'
-        for p in doc.data.points
-    )
+    lines = []
+    for p in doc.data.points:
+        try:
+            weights = ", ".join(map(int.__repr__, p.weights))
+            lines.append(f'    {{"phi": "{p.moment_value}", "weights": [{weights}]}}')
+        except ValueError:  # str() of an int past the digit limit
+            raise ParseError(f"points[{p.index}]", _past_digit_limit("the point")) from None
+    point_lines = ",\n".join(lines)
     text = "{\n" + f'  "n": {doc.data.n},\n' + '  "points": [\n' + point_lines + "\n  ]"
     return text + meta + "\n}\n"
 

@@ -13,9 +13,10 @@ must be positive.
 With b_2 = 1 the first Chern class is C * [omega] + d * t, which is the
 c1 line Gamma_P = -C * phi(P) + d (condition D).  On it every monomial
 identity is a combination of the row of powers of omega, so the
-battery is that row, O(n^2); off it condition D has already failed and
-the battery is not defined (see ``vanishing_battery``).  ``abbv_sum`` is
-the direct rational sum over arbitrary restrictions.
+battery is that row, O(n^2), summed over the one common denominator of
+the moment values that hamfix builds, and only on the line; off it
+condition D has already failed and the battery is not defined (see
+``vanishing_battery``).  ``abbv_sum`` sums arbitrary restrictions directly.
 """
 
 from __future__ import annotations
@@ -74,13 +75,17 @@ def vanishing_battery(data: FixedPointData) -> BatteryReport:
     also carries the top value V = sum_P (-phi_P)^n / Lambda_P, the
     symplectic volume, which must be positive for the battery to pass.
 
-    With L = lcm(Lambda_P), m_P = L / Lambda_P and the fit's integer
-    moment scale q, u_P = q * phi_P, the row entry s_b is
-    (sum_P m_P (-u_P)^b) / (L q^b), so it is exact in integers.
+    With L = lcm(Lambda_P), m_P = L / Lambda_P, q the lcm of the moment
+    value denominators and u_P = q * phi_P, the row entry s_b is
+    (sum_P m_P (-u_P)^b) / (L q^b), so it is exact in integers.  Once
+    the fit has passed, q divides |Gamma_0 - Gamma_1| * lcm(den phi_0,
+    den phi_1), as phi_P = phi_0 + (Gamma_0 - Gamma_P) / C on the line.
     """
     n = data.n
     lambdas = [p.lambda_all for p in data.points]  # StructureError on a zero weight
-    _, _, q, u = _affine_fit(data)  # NonConstantC1 or NonPositiveC1 off the c1 line
+    _affine_fit(data)  # NonConstantC1 or NonPositiveC1 off the c1 line
+    q = lcm(*(phi.denominator for phi in data.moment_values))
+    u = [phi.numerator * (q // phi.denominator) for phi in data.moment_values]
     big_l = lcm(*lambdas)
     terms = [big_l // lam for lam in lambdas]  # m_P * (-u_P)^b
     row = [sum(terms)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import FixedPointData
+from .core import FixedPointData, _show
 from .errors import SpecMismatch, StructureError
 
 
@@ -39,7 +39,9 @@ def _check_increasing_ints(phis: Sequence[int]) -> list[int]:
     out = _ints(phis, "moment values")
     for a, b in zip(out, out[1:]):
         if b <= a:
-            raise SpecMismatch(f"moment values must be strictly increasing: {a} then {b}")
+            raise SpecMismatch(
+                f"moment values must be strictly increasing: {_show(a)} then {_show(b)}"
+            )
     if len(out) < 2:
         raise SpecMismatch("need at least two moment values")
     return out
@@ -54,7 +56,8 @@ def cpn_model(b: Sequence[int]) -> FixedPointData:
     given = _ints(b, "exponents")
     bs = sorted(given)
     if len(set(bs)) != len(bs):
-        raise SpecMismatch(f"exponents must be pairwise distinct, got {given}")
+        shown = ", ".join(map(_show, given))
+        raise SpecMismatch(f"exponents must be pairwise distinct, got [{shown}]")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
     return expected_weights_cpn(bs)
@@ -73,7 +76,8 @@ def quadric_model(b: Sequence[int]) -> FixedPointData:
         raise SpecMismatch("exponents must be nonzero")
     bs = sorted((abs(v) for v in given), reverse=True)
     if len(set(bs)) != len(bs):
-        raise SpecMismatch(f"exponents must have distinct absolute values, got {given}")
+        shown = ", ".join(map(_show, given))
+        raise SpecMismatch(f"exponents must have distinct absolute values, got [{shown}]")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
     return expected_weights_quadric([-v for v in bs] + bs[::-1])
@@ -101,7 +105,7 @@ def expected_weights_quadric(phis: Sequence[int]) -> FixedPointData:
     for i in range(n + 1):
         if (vals[n - i] - vals[i]) % 2 != 0:
             raise SpecMismatch(
-                f"moment gap phi(P_{n - i}) - phi(P_{i}) = {vals[n - i] - vals[i]} "
+                f"moment gap phi(P_{n - i}) - phi(P_{i}) = {_show(vals[n - i] - vals[i])} "
                 "is odd; its half-weight is not an integer"
             )
     weights = [

@@ -38,7 +38,7 @@ from .cohomology import (
     reference_chern,
     ring_coefficients,
 )
-from .core import FixedPointData, _integer_moments, validate
+from .core import FixedPointData, _show, validate
 from .errors import (
     HamfixError,
     InconsistentGamma,
@@ -163,14 +163,14 @@ def consistency_checks(
             checks.append(Check(name, False, "not run: validation failed"))
         return tuple(checks)
     try:
-        c, d = c1_coefficient(data), condition_d_offset(data)
+        c, d = _show(c1_coefficient(data)), _show(condition_d_offset(data))
     except HamfixError as exc:
         checks += [Check(name, False, str(exc)) for name in ("c1-coefficient", "condition-d")]
         checks.append(Check("vanishing-battery", False, "not run: condition D failed"))
         return tuple(checks)
     checks += [Check("c1-coefficient", True, f"C = {c}"), Check("condition-d", True, f"d = {d}")]
     battery = vanishing_battery(data)
-    detail = f"volume = {battery.volume}"
+    detail = f"volume = {_show(battery.volume)}"
     if battery.failures:
         powers = ", ".join(str(f.b) for f in battery.failures)
         detail = f"non-vanishing powers {powers}; {detail}"
@@ -244,7 +244,7 @@ def enumerate_weight_systems(
         for i, v in enumerate(r):
             if v <= 0 or (i < 2 and v != 1):
                 need = "1" if i < 2 else "positive"
-                raise SpecMismatch(f"r-sequence entry r_{i} must be {need}, got {v}")
+                raise SpecMismatch(f"r-sequence entry r_{i} must be {need}, got {_show(v)}")
 
     # x^i = alpha_i / r_i with alpha_i a generator of H^{2i}(M; Z), so
     # 1 / r_i is an integer: the point's cofactor, or None (no assignment).
@@ -350,13 +350,13 @@ def verify_equivalence(
 
     def chern(expected):
         gamma = chern_coefficients(expected).gamma
-        return gamma == reference, f"Chern coefficients {', '.join(str(g) for g in gamma)}"
+        return gamma == reference, f"Chern coefficients {', '.join(map(_show, gamma))}"
 
     def c1(expected):
         c = c1_coefficient(expected)
         if c != reference[0]:  # c1 is the degree-1 term of the total Chern class
-            return False, f"C = {c}, expected {reference[0]}"
-        return True, f"C = {c} = {'n+1' if c == spec.n + 1 else 'n'}"
+            return False, f"C = {_show(c)}, expected {reference[0]}"
+        return True, f"C = {_show(c)} = {'n+1' if c == spec.n + 1 else 'n'}"
 
     measures = {"(2)=>(4)": unique, "(4)=>(2)": ring, "(4)=>(3)": chern, "(4)=>(1)": c1}
     lines = tuple(
@@ -395,7 +395,7 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     for i in range(n):
         if gammas[i] == gammas[i + 1]:
             raise InconsistentGamma(
-                f"two multisets share the weight sum {gammas[i]}; "
+                f"two multisets share the weight sum {_show(gammas[i])}; "
                 "no strictly monotone moment assignment exists"
             )
     for i, ws in enumerate(ordered):
@@ -444,46 +444,48 @@ def gradient_graph(data: FixedPointData) -> GradientSphereGraph:
     """Pair weights into gradient-sphere edges in one upward pass.
 
     A paired edge needs -w at the upper point P_i, +w at a lower P_j,
-    and w dividing phi_i - phi_j, i.e. u_i = u_j modulo q*w with
-    u = q*phi integral.  For each |w| and residue class, the lower
-    points still holding an open +w form a stack; each -w at P_i takes
-    the top (the nearest open +w below, as a closing parenthesis takes
-    the nearest open one), then P_i pushes its own +w.  This is the
-    closest-first greedy: two candidates at equal distance never share
-    an endpoint, so their order is immaterial.  Leftover weights become
-    unpaired edges when a single feasible pole remains, and are flagged
-    ambiguous otherwise.  ``missing_pairs`` lists point pairs with no
-    edge at all.  A zero weight raises StructureError.
+    and w dividing phi_i - phi_j: with phi = a/b in lowest terms, the two
+    share b and their a agree modulo b*w.  For each such residue (|w|,
+    b, a mod b*|w|), the lower points still holding an open +w form a
+    stack; each -w at P_i takes the top (the nearest open +w below, as a
+    closing parenthesis takes the nearest open one), then P_i pushes its
+    own +w.  This is the closest-first greedy: two candidates at equal
+    distance never share an endpoint, so their order is immaterial.
+    Leftover weights become unpaired edges when a single feasible pole
+    remains, and are flagged ambiguous otherwise.  ``missing_pairs``
+    lists point pairs with no edge at all.  A zero weight raises
+    StructureError.
     """
     n = data.n
-    q, u = _integer_moments(data.moment_values)
-    # (|w|, residue of u mod q*|w|) -> the points below with an open +w, nearest last
-    open_poles: dict[tuple[int, int], list[int]] = {}
+    a = [p.moment_value.numerator for p in data.points]  # phi = a/b in lowest terms
+    b = [p.moment_value.denominator for p in data.points]
+    # (|w|, b, a mod b*|w|) -> the points below with an open +w, nearest last
+    open_poles: dict[tuple[int, int, int], list[int]] = {}
     keys: list[tuple[int, int, int, bool]] = []  # (lower, upper, |w|, not paired)
     unmatched: dict[tuple[int, int], int] = {}  # (i, |w|) -> how many -w found no +w
     for p in data.points:
         k = p.index
         for w in p.weights:  # ascending: every -w is matched before P_k opens a +w
             if w < 0:
-                stack = open_poles.get((-w, u[k] % (q * -w)))
+                stack = open_poles.get((-w, b[k], a[k] % (b[k] * -w)))
                 if stack:
                     keys.append((stack.pop(), k, -w, False))
                 else:
                     unmatched[k, -w] = unmatched.get((k, -w), 0) + 1
             elif w:
-                open_poles.setdefault((w, u[k] % (q * w)), []).append(k)
+                open_poles.setdefault((w, b[k], a[k] % (b[k] * w)), []).append(k)
             else:
                 raise StructureError(f"zero weight at point {k}")
 
     ambiguous: list[AmbiguousWeight] = []
     unopened: dict[tuple[int, int], int] = {}  # (j, |w|) -> how many +w stayed open
-    for (w, _), stack in open_poles.items():
+    for (w, _, _), stack in open_poles.items():
         for j in stack:
             unopened[j, w] = unopened.get((j, w), 0) + 1
     for sign, leftovers in ((-1, unmatched), (1, unopened)):
         for (k, w), count in sorted(leftovers.items()):
             poles = range(k) if sign < 0 else range(k + 1, n + 1)
-            feasible = tuple(m for m in poles if (u[k] - u[m]) % (q * w) == 0)
+            feasible = tuple(m for m in poles if b[m] == b[k] and (a[k] - a[m]) % (b[k] * w) == 0)
             if len(feasible) == 1:
                 keys += [(min(k, feasible[0]), max(k, feasible[0]), w, True)] * count
             else:

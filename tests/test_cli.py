@@ -14,11 +14,15 @@ from hamfix import (
     Check,
     FixedPointData,
     InputDocument,
+    NonConstantC1,
     RingKind,
     RingSpec,
+    c1_coefficient,
+    consistency_checks,
     cpn_model,
     quadric_model,
     serialize_document,
+    validate,
     verify_equivalence,
 )
 from hamfix.cli import _build_parser, _chern_polynomial, main
@@ -127,6 +131,107 @@ def test_check_deeply_nested_json_exits_2(tmp_path, capsys):
     path.write_text("[" * 100_000, encoding="utf-8")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: $: unreadable JSON: ")
+
+
+# Numbers that the program computes may pass the interpreter's int-to-str
+# digit limit although every number in the input is below it.  Each case
+# below once ended in a ValueError traceback and exit 1.
+past_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+LIMIT_ERROR = "holds an integer past the {}-digit limit; set PYTHONINTMAXSTRDIGITS\n"
+
+
+@past_digit_limit
+def test_check_writes_a_placeholder_for_a_difference_past_the_digit_limit(tmp_path, capsys):
+    # phi_1 - phi_0 = 2 / ((10^4000 + 1)(10^4000 + 3)), an 8001-digit denominator
+    big = 10**4000
+    phis = [Fraction(1, big + 3), Fraction(1, big + 1), 5]
+    data = FixedPointData.from_weights(phis, [(1, 1), (-1, 1), (-1, -1)])
+    assert main(["check", write_model(tmp_path, data)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(
+        "FAIL  validate: moment difference phi(P_1) - phi(P_0) = 2/<8001 digits> is not an integer; "
+    )
+    assert out[1:] == [
+        "FAIL  c1-coefficient: not run: validation failed",
+        "FAIL  condition-d: not run: validation failed",
+        "FAIL  vanishing-battery: not run: validation failed",
+        "some checks failed",
+    ]
+    # The library calls keep their verdicts and exception types.
+    assert "= 2/<8001 digits> is not an integer" in validate(data).messages()[0]
+    with pytest.raises(NonConstantC1, match=r"^pair \(0,1\) gives <8001 digits> but pair \(0,2\) gives "):
+        c1_coefficient(data)
+    checks = consistency_checks(data, require_integral_differences=False)
+    assert [c.passed for c in checks] == [True, False, False, False]
+    assert checks[1].detail.startswith("pair (0,1) gives <8001 digits> but")
+
+
+def _volume_past_the_limit(n=10):
+    # phi_i = i + 1/(10^600 + 1): on the c1 line (C = 2), but the battery
+    # fails, and its volume has a 6001-digit denominator.
+    phis = [i + Fraction(1, 10**600 + 1) for i in range(n + 1)]
+    return FixedPointData.from_weights(phis, [[-1] * i + [1] * (n - i) for i in range(n + 1)])
+
+
+@past_digit_limit
+@pytest.mark.parametrize("command", ["check", "ring", "chern"])
+def test_battery_volume_past_the_digit_limit_is_a_placeholder(tmp_path, capsys, command):
+    path = write_model(tmp_path, _volume_past_the_limit())
+    assert main([command, path, "--no-integrality"]) == 1
+    captured = capsys.readouterr()
+    detail = "non-vanishing powers 0, 1, 2, 3, 4, 5, 6, 7, 8, 9; volume = <6010 digits>/<6001 digits>"
+    if command == "check":
+        assert captured.out.splitlines()[-2:] == [f"FAIL  vanishing-battery: {detail}", "some checks failed"]
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {detail}\n")
+
+
+@past_digit_limit
+@pytest.mark.parametrize("argv", [[], ["--json"], ["--out", "out.txt"]], ids=["text", "json", "out"])
+def test_chern_result_past_the_digit_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # A genuine CP^5 at gaps of 10^900: sigma_5 at P_0 has 4,503 digits.
+    monkeypatch.chdir(tmp_path)
+    path = write_model(tmp_path, cpn_model([i * 10**900 for i in range(6)]))
+    assert main(["chern", path, *argv]) == 2
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (captured.out, captured.err) == ("", "error: the result " + LIMIT_ERROR.format(limit))
+    assert not (tmp_path / "out.txt").exists()
+
+
+@past_digit_limit
+def test_verify_names_an_odd_quadric_gap_past_the_digit_limit(capsys):
+    # The odd gap phi_3 - phi_0 between two 4,300-digit values has 4,301 digits.
+    top = 10 ** sys.get_int_max_str_digits() - 1
+    assert main(["verify", "--ring", "quadric", f"--phi=-{top},-2,2,{top - 1}"]) == 1
+    reason = (
+        "standard weight system not constructible: moment gap phi(P_3) - phi(P_0) = "
+        f"<{sys.get_int_max_str_digits() + 1} digits> is odd; its half-weight is not an integer"
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"FAIL  {name}: {reason}" for name in ("(2)=>(4)", "(4)=>(2)", "(4)=>(3)", "(4)=>(1)")] + [
+        "verification failed"
+    ]
+
+
+@past_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--ring", "cpn", "--phi"], ["solve", "--json", "--ring", "cpn", "--phi"], ["model", "cpn", "--b"]],
+    ids=["solve", "solve-json", "model"],
+)
+def test_weight_past_the_digit_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # Both moment values have 4,300 digits; the weight between them has 4,301.
+    monkeypatch.chdir(tmp_path)
+    nines = "9" * sys.get_int_max_str_digits()
+    limit_error = LIMIT_ERROR.format(sys.get_int_max_str_digits())
+    for out in ([], ["--out", "out.txt"]):
+        assert main([*argv[:-1], f"{argv[-1]}=-{nines},{nines}", *out]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: points[0]: the point " + limit_error)
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_check_invalid_json_message_is_kept(tmp_path, capsys):

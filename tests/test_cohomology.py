@@ -2,7 +2,7 @@ import functools
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -110,22 +110,25 @@ def test_c1_names_first_equal_pair():
 
 @st.composite
 def _fit_data(draw):
-    """Weight sums on a line Gamma = -C*phi + d (C = c*den/scale, possibly
-    <= 0), or perturbed off it; moment values from a small range in
-    steps of scale/den, distinct in about half the cases."""
+    """Weight sums on a line Gamma = -C*phi + d (C = c*lcm(dens)/scale,
+    possibly <= 0), or perturbed off it; moment values scale*k/den_i for
+    k from a small range, distinct in about half the cases, over one
+    denominator or over one per point from 1, 2, 3, 6."""
     n = draw(st.integers(1, 5))
     scale, den = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    per_point = st.lists(st.sampled_from((1, 2, 3, 6)), min_size=n + 1, max_size=n + 1)
+    dens = draw(st.one_of(st.just([den] * (n + 1)), per_point))
     distinct = draw(st.booleans())
     steps = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1, unique=distinct))
     c, d = draw(st.integers(-2, 4)), draw(st.integers(-5, 5))
-    sums = [-c * k + d for k in steps]
+    sums = [-c * k * (lcm(*dens) // b) + d for k, b in zip(steps, dens)]
     if draw(st.booleans()):
         sums[draw(st.integers(0, n))] += draw(st.sampled_from((-1, 1)))
     weights = []
     for s in sums:
         rest = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
         weights.append([s - sum(rest)] + rest)
-    return FixedPointData.from_weights([Fraction(scale * k, den) for k in steps], weights)
+    return FixedPointData.from_weights([Fraction(scale * k, b) for k, b in zip(steps, dens)], weights)
 
 
 @settings(max_examples=200)

@@ -20,6 +20,8 @@ from hamfix import (
     validate,
 )
 
+from hamfix.core import _show
+
 from conftest import cpn_b_lists, quadric_b_lists
 
 
@@ -98,6 +100,29 @@ def test_rat_refuses_a_huge_exponent_before_building_the_value():
     with pytest.raises(ParseError, match=rf"^exponent 10000000 exceeds the {limit}-digit limit$"):
         rat("1e10000000")
     assert rat("-0.0e10000000") == 0
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_show_names_the_digit_count_of_an_integer_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    values = [10**k + e for k in (limit, limit + 1, 2 * limit, 10_000) for e in (-1, 0, 1)]
+    values += [2**b for b in range(3 * limit, 3 * limit + 40)]
+    expected = {}
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = {v: len(str(v)) for v in values}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for v, digits in expected.items():
+        shown = str(v) if digits <= limit else f"<{digits} digits>"
+        assert _show(v) == shown and _show(-v) == "-" + shown
+    big = 10**limit
+    assert _show(Fraction(-3, big + 1)) == f"-3/<{limit + 1} digits>"
+    assert _show(Fraction(big, 7)) == f"<{limit + 1} digits>/7"
+    assert _show(Fraction(big)) == f"<{limit + 1} digits>"
+    assert [_show(v) for v in (0, -5, Fraction(-3, 7), Fraction(4, 2))] == ["0", "-5", "-3/7", "2"]
 
 
 class _Weight(enum.IntEnum):

@@ -198,6 +198,27 @@ def test_save_keeps_the_old_file_when_serializing_fails(tmp_path):
     assert path.read_text(encoding="utf-8") == CANONICAL_CP2
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_save_refuses_a_point_past_the_digit_limit_at_its_path(tmp_path):
+    # Such a document could not be read back; writing it once raised ValueError.
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "kept.json"
+    path.write_text(CANONICAL_CP2, encoding="utf-8")
+    big = 10**limit
+    for phis, weights, at in (
+        ([0, Fraction(1, big), 2], [(1, 2), (-1, 1), (-2, -1)], 1),
+        ([0, 1, 2], [(1, 2), (-1, 1), (-big, -1)], 2),
+    ):
+        doc = InputDocument(FixedPointData.from_weights(phis, weights))
+        message = f"points[{at}]: the point holds an integer past the {limit}-digit limit; set PYTHONINTMAXSTRDIGITS"
+        with pytest.raises(ParseError) as err:
+            save_document(doc, str(path))
+        assert (err.value.path, str(err.value)) == (f"points[{at}]", message)
+    assert path.read_text(encoding="utf-8") == CANONICAL_CP2
+
+
 @pytest.mark.parametrize("meta", [[1, 2], "x", 3], ids=["list", "str", "int"])
 def test_save_refuses_a_meta_the_reader_refuses(tmp_path, meta):
     # Once written, such a document could not be read back.

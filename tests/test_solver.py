@@ -910,15 +910,19 @@ def _all_pairs_gradient_graph(data):
 @st.composite
 def repeated_weight_data(draw):
     """Random data whose weights repeat: each drawn from +-1, +-2, +-3,
-    moment values in halves or thirds, not always increasing."""
+    moment values in halves or thirds, or over a denominator per point
+    from 1, 2, 3, 6 (so points with different denominators meet), not
+    always increasing."""
     n = draw(st.integers(1, 8))
     den = draw(st.sampled_from((1, 2, 3)))
+    per_point = st.lists(st.sampled_from((1, 2, 3, 6)), min_size=n + 1, max_size=n + 1)
+    dens = draw(st.one_of(st.just([den] * (n + 1)), per_point))
     phis = draw(st.lists(st.integers(-12, 12), min_size=n + 1, max_size=n + 1))
     if draw(st.booleans()):
         phis.sort()
     weight = st.sampled_from((-3, -2, -1, 1, 2, 3))
     weights = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=n + 1, max_size=n + 1))
-    return FixedPointData.from_weights([Fraction(p, den) for p in phis], weights)
+    return FixedPointData.from_weights([Fraction(p, b) for p, b in zip(phis, dens)], weights)
 
 
 @settings(max_examples=400)
@@ -945,6 +949,22 @@ def test_gradient_graph_missing_pairs_are_the_pairs_no_edge_joins(data):
         (j, i) for j in range(n + 1) for i in range(j + 1, n + 1) if not graph.edges_between(j, i)
     )
     assert graph.missing_pairs == brute
+
+
+def test_gradient_graph_builds_no_common_scale_of_the_moment_values():
+    # phi_i = i + 1/d_i with distinct 600-digit d_i: no two moment values
+    # differ by an integer, so no sphere joins any pair.  Reducing every
+    # phi over the lcm of all 200 denominators, about 120,000 digits,
+    # took 9.4 s on a 2-vCPU VM.
+    n, base = 199, 10**599
+    phis = [i + Fraction(1, base + 2 * i + 1) for i in range(n + 1)]
+    data = FixedPointData.from_weights(phis, [[-1] * i + [1] * (n - i) for i in range(n + 1)])
+    start = time.perf_counter()
+    graph = gradient_graph(data)
+    elapsed = time.perf_counter() - start
+    assert graph.edges == ()
+    assert len(graph.ambiguous) == n * (n + 1) and len(graph.missing_pairs) == n * (n + 1) // 2
+    assert elapsed < 1.0, f"gradient_graph took {elapsed:.3f}s"
 
 
 def test_gradient_graph_nearest_open_pole_is_the_closest_first_greedy():
