@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .cohomology import RingKind, RingSpec, chern_coefficients, classify_ring, ring_coefficients
-from .core import FixedPointData, _past_digit_limit, rat
+from .core import FixedPointData, _past_digit_limit, _show, rat
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .models import cpn_model, quadric_model
@@ -100,7 +100,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in raw.split(",")]
     except ValueError:
-        raise ParseError(flag, f"expected comma-separated integers, got {raw!r}") from None
+        raise ParseError(flag, f"expected comma-separated integers, got {_show(raw)}") from None
 
 
 def _ring_spec(args) -> tuple[RingSpec, list[int]]:
@@ -112,7 +112,8 @@ def _ring_spec(args) -> tuple[RingSpec, list[int]]:
         try:
             r = tuple(rat(part.strip()) for part in args.r.split(","))
         except ParseError:
-            raise ParseError("--r", f"expected comma-separated rationals, got {args.r!r}") from None
+            shown = _show(args.r)
+            raise ParseError("--r", f"expected comma-separated rationals, got {shown}") from None
     return RingSpec(_RINGS[args.ring], len(phis) - 1, r), phis
 
 
@@ -216,16 +217,14 @@ def _cmd_solve(args) -> int:
     spec, phis = _ring_spec(args)
     systems = enumerate_weight_systems(spec, phis, budget=args.budget)
     count = len(systems)
-    payload = {
-        "ring": str(spec.kind),
-        "n": spec.n,
-        "count": count,
-        "systems": [json.loads(serialize_document(InputDocument(d))) for d in systems],
-    }
+    documents = []  # each system as the object its serialized document holds
     lines = [f"{count} system found" if count == 1 else f"{count} systems found"]
     for k, data in enumerate(systems, start=1):
+        points = [{"phi": str(p.moment_value), "weights": p.weights} for p in data.points]
+        documents.append({"n": data.n, "points": points})
         lines.append(f"system {k}: phi = {_format_rat_list(data.moment_values)}")
         lines += [f"  P_{p.index}: {_format_rat_list(p.weights)}" for p in data.points]
+    payload = {"ring": str(spec.kind), "n": spec.n, "count": count, "systems": documents}
     if spec.kind is RingKind.OTHER:  # for the model rings the ansatz is a theorem
         payload["ansatz"] = _OTHER_RING_ANSATZ
         lines.append(_OTHER_RING_ANSATZ)

@@ -54,14 +54,14 @@ class RingSpec(namedtuple("RingSpec", "kind n r")):
 
     def __new__(cls, kind: RingKind, n: int, r: tuple[Fraction, ...] | None = None):
         if isinstance(n, bool) or not isinstance(n, int):
-            raise SpecMismatch(f"n must be an integer, got {n!r}")
+            raise SpecMismatch(f"n must be an integer, got {_show(n)}")
         if n < 1:
-            raise SpecMismatch(f"n must be >= 1, got {n}")
+            raise SpecMismatch(f"n must be >= 1, got {_show(n)}")
         if kind is RingKind.QUADRIC and (n < 3 or n % 2 == 0):
-            raise SpecMismatch(f"quadric ring requires odd n >= 3, got n = {n}")
+            raise SpecMismatch(f"quadric ring requires odd n >= 3, got n = {_show(n)}")
         if kind is RingKind.OTHER:
             if r is not None and not isinstance(r, (list, tuple)):
-                raise SpecMismatch(f"r-sequence must be a list or tuple, got {r!r}")
+                raise SpecMismatch(f"r-sequence must be a list or tuple, got {_show(r)}")
             if r is None or len(r) != n + 1:
                 raise SpecMismatch("Other ring needs an explicit r-sequence of length n+1")
             r = tuple(rat(v) for v in r)

@@ -45,7 +45,7 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if not isinstance(value, str):
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        raise TypeError(f"cannot interpret {_show(value)} as an exact rational")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     digits = value[1:] if value[:1] == "-" else value
     if digits.isdigit() and digits.isascii() and (not limit or len(digits) <= limit):
@@ -70,16 +70,31 @@ def rat(value: RatLike) -> Fraction:
     return out
 
 
-def _show(value: int | Fraction) -> str:
-    """``str(value)``, but an integer past the interpreter's digit limit is
-    written as a placeholder that names its size, such as ``<4301 digits>``."""
+def _show(value: object) -> str:
+    """An int or Fraction as ``str`` writes it and any other value as
+    ``repr`` does, but past the interpreter's digit limit an integer part
+    as a placeholder that names its size, such as ``<4301 digits>``, a list
+    or tuple item by item, and any other value as its type, such as
+    ``<dict past the digit limit>``."""
+    if not isinstance(value, (list, tuple)):
+        return _shown(value)
     try:
-        return str(value)
+        return repr(value)
     except ValueError:  # the digit limit
-        pass
+        left, right = "[]" if isinstance(value, list) else "()"
+        return left + ", ".join(map(_shown, value)) + right
+
+
+def _shown(value: object) -> str:
+    """``_show`` of one value: a list or tuple past the limit shows its type."""
+    number = isinstance(value, (int, Fraction))
+    try:
+        return str(value) if number else repr(value)
+    except ValueError:  # the digit limit
+        if not number:
+            return f"<{type(value).__name__} past the digit limit>"
     texts = []
-    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
-    for part in parts:
+    for part in (value.numerator, value.denominator):
         try:
             texts.append(str(part))
         except ValueError:
@@ -88,7 +103,7 @@ def _show(value: int | Fraction) -> str:
             while size >= 10**digits:
                 digits += 1
             texts.append(f"{'-' if part < 0 else ''}<{digits} digits>")
-    return "/".join(texts)
+    return texts[0] if value.denominator == 1 else "/".join(texts)
 
 
 def _past_digit_limit(what: str) -> str:
@@ -110,12 +125,12 @@ class FixedPoint(namedtuple("FixedPoint", "index moment_value weights")):
 
     def __new__(cls, index: int, moment_value: RatLike, weights: Iterable[int]):
         if isinstance(index, bool) or not isinstance(index, int):
-            raise StructureError(f"point index must be an integer, got {index!r}")
+            raise StructureError(f"point index must be an integer, got {_show(index)}")
         moment_value = rat(moment_value)
         weights = tuple(weights)  # a one-shot iterable is read once
         for w in weights:
             if type(w) is not int and (isinstance(w, bool) or not isinstance(w, int)):
-                raise StructureError(f"weight {w!r} at point {index} is not an integer")
+                raise StructureError(f"weight {_show(w)} at point {_show(index)} is not an integer")
         return super().__new__(cls, index, moment_value, tuple(sorted(weights)))
 
     # ``_replace`` builds through ``_make``, so that validates too.
@@ -161,15 +176,15 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
 
     def __new__(cls, n: int, points: Iterable[FixedPoint]):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise StructureError(f"n must be a positive integer, got {n!r}")
+            raise StructureError(f"n must be a positive integer, got {_show(n)}")
         pts = tuple(points)
         if len(pts) != n + 1:
-            raise StructureError(f"expected {n + 1} points, got {len(pts)}")
+            raise StructureError(f"expected {_show(n + 1)} points, got {len(pts)}")
         for i, p in enumerate(pts):
             if not isinstance(p, FixedPoint):
-                raise StructureError(f"point at position {i} is not a FixedPoint: {p!r}")
+                raise StructureError(f"point at position {i} is not a FixedPoint: {_show(p)}")
             if p.index != i:
-                raise StructureError(f"point at position {i} has index {p.index}")
+                raise StructureError(f"point at position {i} has index {_show(p.index)}")
             if len(p.weights) != n:
                 raise StructureError(f"point {i} has {len(p.weights)} weights, expected {n}")
         return super().__new__(cls, n, pts)

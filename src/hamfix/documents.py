@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Any
 
-from .core import FixedPointData, _past_digit_limit, rat
+from .core import FixedPointData, _past_digit_limit, _show, rat
 from .errors import ParseError
 
 
@@ -34,7 +34,7 @@ def _parse_phi(value: Any, path: str) -> Fraction:
     if isinstance(value, float):
         if value.is_integer():
             return Fraction(int(value))
-        raise ParseError(path, f"non-integral number {value!r}; use a \"p/q\" string")
+        raise ParseError(path, f"non-integral number {_show(value)}; use a \"p/q\" string")
     if isinstance(value, (int, str)):
         try:
             return rat(value)
@@ -58,16 +58,15 @@ def document_from_json(obj: Any) -> InputDocument:
         raise ParseError(sorted(unknown)[0], "unknown key")
 
     n = obj.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParseError("n", f"expected a positive integer, got {n!r}")
-    if n < 1:
-        raise ParseError("n", f"expected a positive integer, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParseError("n", f"expected a positive integer, got {_show(n)}")
 
     raw_points = obj.get("points")
     if not isinstance(raw_points, list):
         raise ParseError("points", "expected an array of points")
     if len(raw_points) != n + 1:
-        raise ParseError("points", f"expected {n + 1} points for n = {n}, got {len(raw_points)}")
+        expected = f"expected {_show(n + 1)} points for n = {_show(n)}"
+        raise ParseError("points", f"{expected}, got {len(raw_points)}")
 
     phis, weights = [], []
     for i, entry in enumerate(raw_points):
@@ -89,7 +88,8 @@ def document_from_json(obj: Any) -> InputDocument:
             )
         for k, w in enumerate(raw_weights):
             if type(w) is not int:
-                raise ParseError(f"{base}.weights[{k}]", f"expected an integer weight, got {w!r}")
+                shown = _show(w)
+                raise ParseError(f"{base}.weights[{k}]", f"expected an integer weight, got {shown}")
         weights.append(raw_weights)
 
     meta = obj.get("meta")

@@ -28,10 +28,10 @@ def _ints(values: Iterable[int], what: str, error: type = SpecMismatch) -> list[
     try:
         out = list(values)
     except TypeError:
-        raise error(f"{what} must be a sequence of integers, got {values!r}") from None
+        raise error(f"{what} must be a sequence of integers, got {_show(values)}") from None
     for v in out:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise error(f"{what} must be integers, got {v!r}")
+            raise error(f"{what} must be integers, got {_show(v)}")
     return out
 
 

@@ -50,17 +50,11 @@ from .localization import vanishing_battery
 from .models import _check_increasing_ints, _ints, expected_weights_cpn, expected_weights_quadric
 
 DEFAULT_BUDGET = 200_000
-_EXPECTED_WEIGHTS = {
-    RingKind.PROJECTIVE_SPACE: expected_weights_cpn,
-    RingKind.QUADRIC: expected_weights_quadric,
-}
 
 
 def _checked_phis(spec: RingSpec, phis: Sequence[int]) -> list[int]:
     if len(phis) != spec.n + 1:
-        raise SpecMismatch(
-            f"ring has n = {spec.n} but {len(phis)} moment values were given"
-        )
+        raise SpecMismatch(f"ring has n = {_show(spec.n)} but {len(phis)} moment values were given")
     return _check_increasing_ints(phis)
 
 
@@ -118,7 +112,7 @@ def _negative_assignments(
             continue
         results.append(head)
         if len(results) > budget:
-            raise SearchBudgetExceeded(f"more than {budget} weight assignments at one point")
+            raise SearchBudgetExceeded(f"more than {_show(budget)} weight assignments at one point")
     return results
 
 
@@ -234,9 +228,9 @@ def enumerate_weight_systems(
     if budget is None:
         budget = DEFAULT_BUDGET
     elif isinstance(budget, bool) or not isinstance(budget, int):
-        raise SpecMismatch(f"budget must be an integer, got {budget!r}")
+        raise SpecMismatch(f"budget must be an integer, got {_show(budget)}")
     elif budget < 0:
-        raise SpecMismatch(f"budget must be nonnegative, got {budget}")
+        raise SpecMismatch(f"budget must be nonnegative, got {_show(budget)}")
     r = spec.r_sequence()
     if spec.kind is RingKind.OTHER:
         # alpha_0 = 1 and alpha_1 = x, and Lambda_i^- has the sign of the
@@ -293,7 +287,7 @@ def enumerate_weight_systems(
         children = bucket.get(total, ())
         placements += len(children)
         if placements > budget:
-            raise SearchBudgetExceeded(f"more than {budget} weight assignments placed")
+            raise SearchBudgetExceeded(f"more than {_show(budget)} weight assignments placed")
         stack += [(i - 1, (a,) + placed) for a in reversed(children)]
     return [unique[k] for k in sorted(unique)]
 
@@ -327,43 +321,34 @@ def verify_equivalence(
     if spec.kind is RingKind.OTHER:
         raise SpecMismatch("equivalence verification is defined for the model rings only")
     systems = enumerate_weight_systems(spec, phis, budget=budget)
-    reference = reference_chern(spec.kind, spec.n)
+    count, names = len(systems), ("(2)=>(4)", "(4)=>(2)", "(4)=>(3)", "(4)=>(1)")
+    cpn = spec.kind is RingKind.PROJECTIVE_SPACE
     try:
-        standard = _EXPECTED_WEIGHTS[spec.kind](phis)
+        standard = (expected_weights_cpn if cpn else expected_weights_quadric)(phis)
     except HamfixError as exc:
-        standard, reason = None, f"standard weight system not constructible: {exc}"
+        reason = f"not constructible: {exc}"
     else:
+        found = standard in systems
         # Every system the search returns passes the checks; this one may not.
-        checks = () if standard in systems else consistency_checks(standard)
-        failed = next((c for c in checks if not c.passed), None)
-        reason = f"standard weight system fails {failed.name}: {failed.detail}" if failed else ""
-
-    def unique(expected):
-        if len(systems) != 1:
-            return False, f"{len(systems)} consistent weight systems found"
-        same = systems[0] == expected
-        return same, f"unique weight system {'matches' if same else 'differs from'} the standard model"
-
-    def ring(expected):
-        measured = classify_ring(ring_coefficients(expected))
-        return measured == spec, f"measured ring classifies as {measured.kind}"
-
-    def chern(expected):
-        gamma = chern_coefficients(expected).gamma
-        return gamma == reference, f"Chern coefficients {', '.join(map(_show, gamma))}"
-
-    def c1(expected):
-        c = c1_coefficient(expected)
-        if c != reference[0]:  # c1 is the degree-1 term of the total Chern class
-            return False, f"C = {_show(c)}, expected {reference[0]}"
-        return True, f"C = {_show(c)} = {'n+1' if c == spec.n + 1 else 'n'}"
-
-    measures = {"(2)=>(4)": unique, "(4)=>(2)": ring, "(4)=>(3)": chern, "(4)=>(1)": c1}
-    lines = tuple(
-        Check(name, False, reason) if reason else Check(name, *measure(standard))
-        for name, measure in measures.items()
+        checks = () if found else consistency_checks(standard)
+        reason = next((f"fails {c.name}: {c.detail}" for c in checks if not c.passed), "")
+    if reason:
+        lines = tuple(Check(name, False, f"standard weight system {reason}") for name in names)
+        return EquivalenceReport(spec, lines, count)
+    reference = reference_chern(spec.kind, spec.n)
+    measured = classify_ring(ring_coefficients(standard))
+    gamma = chern_coefficients(standard).gamma
+    c, c_ref = c1_coefficient(standard), reference[0]  # c1 is the degree-1 term of the series
+    same = f"unique weight system {'matches' if found else 'differs from'} the standard model"
+    c1 = f", expected {c_ref}" if c != c_ref else " = n+1" if c == spec.n + 1 else " = n"
+    verdicts = (
+        (count == 1 and found, same if count == 1 else f"{count} consistent weight systems found"),
+        (measured == spec, f"measured ring classifies as {measured.kind}"),
+        (gamma == reference, f"Chern coefficients {', '.join(map(_show, gamma))}"),
+        (c == c_ref, f"C = {_show(c)}{c1}"),
     )
-    return EquivalenceReport(spec, lines, len(systems))
+    lines = tuple(Check(name, *verdict) for name, verdict in zip(names, verdicts))
+    return EquivalenceReport(spec, lines, count)
 
 
 def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fraction]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hamfix.cli
 import hamfix.solver
 from hamfix import (
     Check,
@@ -224,14 +225,26 @@ def test_verify_names_an_odd_quadric_gap_past_the_digit_limit(capsys):
 )
 def test_weight_past_the_digit_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
     # Both moment values have 4,300 digits; the weight between them has 4,301.
+    # `model` writes a document, which names the point; `solve` writes no
+    # document, for text and --json alike.
     monkeypatch.chdir(tmp_path)
     nines = "9" * sys.get_int_max_str_digits()
-    limit_error = LIMIT_ERROR.format(sys.get_int_max_str_digits())
+    where = "the result " if argv[0] == "solve" else "points[0]: the point "
+    limit_error = "error: " + where + LIMIT_ERROR.format(sys.get_int_max_str_digits())
     for out in ([], ["--out", "out.txt"]):
         assert main([*argv[:-1], f"{argv[-1]}=-{nines},{nines}", *out]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: points[0]: the point " + limit_error)
+        assert (captured.out, captured.err) == ("", limit_error)
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_main_reraises_a_value_error_that_is_not_the_digit_limit(monkeypatch):
+    def boom(data):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(hamfix.cli, "ring_coefficients", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["ring", str(DATA_DIR / "cp2.golden.json")])
 
 
 def test_check_invalid_json_message_is_kept(tmp_path, capsys):
@@ -632,12 +645,20 @@ def _verify_cp2_fails_one_line(capsys, name, detail):
     assert capsys.readouterr().out == "\n".join([*lines.values(), "verification failed"]) + "\n"
 
 
-@pytest.mark.parametrize("count", [0, 2])
-def test_verify_fails_2_implies_4_unless_one_system_is_found(monkeypatch, capsys, count):
+@pytest.mark.parametrize(
+    "found, detail",
+    [
+        ((), "0 consistent weight systems found"),
+        (((0, 1, 2), (0, 2, 3)), "2 consistent weight systems found"),
+        (((0, 2, 3),), "unique weight system differs from the standard model"),
+    ],
+    ids=["0", "2", "1-other"],
+)
+def test_verify_fails_2_implies_4_unless_one_system_is_found(monkeypatch, capsys, found, detail):
     # The line that reports the uniqueness half of the theorem failing.
-    systems = [cpn_model((0, 1, 2)), cpn_model((0, 2, 3))][:count]
+    systems = [cpn_model(b) for b in found]
     monkeypatch.setattr(hamfix.solver, "enumerate_weight_systems", lambda *a, **k: systems)
-    _verify_cp2_fails_one_line(capsys, "(2)=>(4)", f"{count} consistent weight systems found")
+    _verify_cp2_fails_one_line(capsys, "(2)=>(4)", detail)
 
 
 def test_verify_fails_4_implies_1_on_a_c1_off_the_reference(monkeypatch, capsys):

@@ -1,15 +1,20 @@
 """The error contract, by search: on values of the right types, every
 public function returns or raises a ``HamfixError`` subclass, never
-another exception."""
+another exception.  Numbers past the interpreter's digit limit, which no
+search draws, are checked case by case."""
 
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import model_data, model_data_with_one_weight_changed, read_path_data
 from hamfix import (
+    FixedPoint,
+    FixedPointData,
     HamfixError,
     RingKind,
     RingSpec,
@@ -20,12 +25,14 @@ from hamfix import (
     condition_d_offset,
     consistency_checks,
     cpn_model,
+    document_from_json,
     enumerate_weight_systems,
     expected_weights_cpn,
     expected_weights_quadric,
     gradient_graph,
     infer_moment_values,
     quadric_model,
+    rat,
     ring_coefficients,
     validate,
     vanishing_battery,
@@ -122,3 +129,45 @@ def test_only_hamfix_errors_escape_the_public_functions(call):
         fn(*args)
     except HamfixError:
         pass
+
+
+H = 10**5000  # 5,001 digits: past the interpreter's default limit of 4,300
+PROJECTIVE_H = (RingKind.PROJECTIVE_SPACE, H, None, [0, 1], None)
+PAST_THE_LIMIT = {
+    # values of the right types
+    "data-n": (FixedPointData, H, []),
+    "data-index": (FixedPointData, 1, [FixedPoint(H, 0, [1]), FixedPoint(1, 1, [-1])]),
+    "quadric-n": (RingSpec, RingKind.QUADRIC, H),
+    "search-n": (search, *PROJECTIVE_H),
+    "verify-n": (verify, *PROJECTIVE_H),
+    "budget": (search, RingKind.PROJECTIVE_SPACE, 1, None, [0, 1], -H),
+    "document-n": (document_from_json, {"n": -H}),
+    "document-points": (document_from_json, {"n": H, "points": []}),
+    # values of the wrong types, whose repr passes the limit
+    "cpn-int": (cpn_model, H),
+    "cpn-fraction": (cpn_model, [Fraction(H)]),
+    "quadric-int": (quadric_model, H),
+    "expected-cpn-fraction": (expected_weights_cpn, [0, Fraction(H)]),
+    "expected-quadric-int": (expected_weights_quadric, H),
+    "infer-int": (infer_moment_values, [H]),
+    "infer-fraction": (infer_moment_values, [[Fraction(H)]]),
+    "point-weight": (FixedPoint, 0, 0, [Fraction(H, 3)]),
+    "point-index": (FixedPoint, Fraction(H, 3), 0, [1]),
+    "data-n-fraction": (FixedPointData, Fraction(H, 3), []),
+    "data-point": (FixedPointData, 1, [H, 1]),
+    "other-n": (RingSpec, RingKind.OTHER, Fraction(H, 3)),
+    "other-r": (RingSpec, RingKind.OTHER, 1, H),
+    "budget-fraction": (search, RingKind.PROJECTIVE_SPACE, 1, None, [0, 1], Fraction(H, 3)),
+    "rat": (rat, [H]),
+}
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() not in range(1, 5001),
+    reason="needs an int digit limit below 5,001 digits",
+)
+@pytest.mark.parametrize("call", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT)
+def test_messages_show_a_number_past_the_digit_limit_as_a_placeholder(call):
+    fn, *args = call
+    with pytest.raises(TypeError if fn is rat else HamfixError, match="<5001 digits>"):
+        fn(*args)

@@ -123,6 +123,12 @@ def test_show_names_the_digit_count_of_an_integer_past_the_limit():
     assert _show(Fraction(big, 7)) == f"<{limit + 1} digits>/7"
     assert _show(Fraction(big)) == f"<{limit + 1} digits>"
     assert [_show(v) for v in (0, -5, Fraction(-3, 7), Fraction(4, 2))] == ["0", "-5", "-3/7", "2"]
+    # Any other value as repr writes it; a list or tuple past the limit by its items.
+    others = (True, 1.5, "x", None, [1, "y"])
+    assert [_show(v) for v in others] == ["True", "1.5", "'x'", "None", "[1, 'y']"]
+    assert _show([big, Fraction(1, 2)]) == f"[<{limit + 1} digits>, 1/2]"
+    assert _show((big, "z")) == f"(<{limit + 1} digits>, 'z')"
+    assert _show({"key": big}) == "<dict past the digit limit>"
 
 
 class _Weight(enum.IntEnum):

@@ -719,6 +719,23 @@ def test_verify_reports_an_unmeasurable_standard_system():
     assert [(line.passed, line.detail) for line in report.lines] == [(False, detail)] * 4
 
 
+def test_verify_compares_the_standard_with_the_search_once(monkeypatch):
+    compared = []
+
+    class Counted(FixedPointData):
+        __slots__ = ()
+        __hash__ = FixedPointData.__hash__
+
+        def __eq__(self, other):
+            compared.append(other)
+            return tuple(self) == tuple(other)
+
+    found = [Counted(*cpn_model((0, 1, 2)))]
+    monkeypatch.setattr("hamfix.solver.enumerate_weight_systems", lambda *a, **k: found)
+    report = verify_equivalence(RingSpec(RingKind.PROJECTIVE_SPACE, 2), [0, 1, 2])
+    assert report.passed and compared == [cpn_model((0, 1, 2))]
+
+
 def test_verify_rejects_other_rings():
     r = (Fraction(1),) * 3
     with pytest.raises(SpecMismatch):
