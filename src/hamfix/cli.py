@@ -23,7 +23,13 @@ from .core import FixedPointData, _past_digit_limit, _show, rat
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .models import cpn_model, quadric_model
-from .solver import Check, consistency_checks, enumerate_weight_systems, verify_equivalence
+from .solver import (
+    DEFAULT_BUDGET,
+    Check,
+    consistency_checks,
+    enumerate_weight_systems,
+    verify_equivalence,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="solver cap on the weight assignments one search finds and on "
-        "the number of assignments placed (default 200000)",
+        f"the number of assignments placed (default {DEFAULT_BUDGET})",
     )
 
     parser = argparse.ArgumentParser(

@@ -12,9 +12,9 @@ alone:
               * (alpha_1)^i,
 
 so the ring is captured by the rationals r_i with alpha_i = r_i * x^i,
-x = alpha_1 = [omega].  r == (1,...,1) is the projective-space ring;
-r == (1,..,1,1/2,..,1/2) with the step at (n+1)/2 is the ring of the
-odd-dimensional quadric Z[x,y]/(x^{(n+1)/2} - 2y, y^2).
+x = alpha_1 = [omega].  CP^n and the odd quadric Q^n, the hypersurfaces of
+degree d = 1 and 2 in CP^{n+1}, have r_i = 1 below degree (n+1)/2 and 1/d
+from there on, c = (1+x)^{n+2} / (1+dx), c_1 = (n+2-d) x and volume d.
 
 The Chern classes c_i(M) = gamma_i * x^i follow from the restrictions
 sigma_i(weights at P_k) * t^i of the equivariant Chern classes by an
@@ -45,14 +45,19 @@ class RingKind(enum.Enum):
         return self.value
 
 
+_DEGREE = {RingKind.PROJECTIVE_SPACE: 1, RingKind.QUADRIC: 2}
+
+
 class RingSpec(namedtuple("RingSpec", "kind n r")):
     """A target cohomology ring: projective space, odd quadric, or a bare
     r-sequence (a list or tuple) for anything else, its entries coerced
-    with ``rat``."""
+    with ``rat``.  A kind that is not a ``RingKind`` raises SpecMismatch."""
 
     __slots__ = ()
 
     def __new__(cls, kind: RingKind, n: int, r: tuple[Fraction, ...] | None = None):
+        if not isinstance(kind, RingKind):
+            raise SpecMismatch(f"ring kind must be a RingKind, got {_show(kind)}")
         if isinstance(n, bool) or not isinstance(n, int):
             raise SpecMismatch(f"n must be an integer, got {_show(n)}")
         if n < 1:
@@ -73,14 +78,11 @@ class RingSpec(namedtuple("RingSpec", "kind n r")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def r_sequence(self) -> tuple[Fraction, ...]:
-        """The generator ratios r_0..r_n this ring prescribes."""
-        if self.kind is RingKind.PROJECTIVE_SPACE:
-            return (Fraction(1),) * (self.n + 1)
-        if self.kind is RingKind.QUADRIC:
-            half = (self.n + 1) // 2
-            return (Fraction(1),) * half + (Fraction(1, 2),) * (self.n + 1 - half)
-        assert self.r is not None
-        return self.r
+        """The ratios r_0..r_n: an Other ring's own, else 1 then 1/d from degree (n+1)/2."""
+        if self.kind is RingKind.OTHER:
+            return self.r
+        step = (self.n + 1) // 2
+        return (Fraction(1),) * step + (Fraction(1, _DEGREE[self.kind]),) * (self.n + 1 - step)
 
 
 class RingCoefficients(namedtuple("RingCoefficients", "r")):
@@ -265,7 +267,7 @@ def chern_coefficients(data: FixedPointData) -> ChernData:
 def classify_ring(rc: RingCoefficients) -> RingSpec:
     """Recognize the r-sequence as projective space, odd quadric, or other:
     the first model ring of dimension n whose ``r_sequence`` it equals."""
-    for kind in (RingKind.PROJECTIVE_SPACE, RingKind.QUADRIC):
+    for kind in _DEGREE:
         try:
             spec = RingSpec(kind, rc.n)
         except SpecMismatch:  # no model ring of this kind in dimension n
@@ -276,15 +278,12 @@ def classify_ring(rc: RingCoefficients) -> RingSpec:
 
 
 def reference_chern(kind: RingKind, n: int) -> tuple[int, ...]:
-    """Total Chern class coefficients (degrees 1..n) of the model spaces.
-
-    Projective space: (1+x)^{n+1}, so binomial(n+1, i).  The quadric
-    hypersurface of dimension n: the series (1+x)^{n+2} / (1+2x).
-    """
-    if kind is RingKind.PROJECTIVE_SPACE:
-        return tuple(comb(n + 1, i) for i in range(1, n + 1))
-    if kind is RingKind.QUADRIC:
-        return tuple(
-            sum(comb(n + 2, j) * (-2) ** (k - j) for j in range(k + 1)) for k in range(1, n + 1)
-        )
-    raise SpecMismatch("no reference Chern series for an Other ring")
+    """Total Chern class coefficients (degrees 1..n) of the model space of
+    degree d: the series (1+x)^{n+2} / (1+dx), so c_0 = 1 and
+    c_k = binomial(n+2, k) - d * c_{k-1}; for d = 1 it is (1+x)^{n+1}."""
+    if kind not in (RingKind.PROJECTIVE_SPACE, RingKind.QUADRIC):
+        raise SpecMismatch("no reference Chern series for an Other ring")
+    d, c = _DEGREE[kind], [1]
+    for k in range(1, n + 1):
+        c.append(comb(n + 2, k) - d * c[-1])
+    return tuple(c[1:])

@@ -51,14 +51,16 @@ def rat(value: RatLike) -> Fraction:
     if digits.isdigit() and digits.isascii() and (not limit or len(digits) <= limit):
         return Fraction(int(value))  # a plain integer, as Fraction reads it
     try:
-        m = _EXPONENT.fullmatch(value) if limit else None
-        if m and abs(int(m[2])) > limit + len(m[1]):
+        # With no limit set, the interpreter's default bounds the exponent.
+        bound = limit or getattr(sys.int_info, "default_max_str_digits", 4300)
+        m = _EXPONENT.fullmatch(value)
+        if m and abs(int(m[2])) > bound + len(m[1]):
             # Fraction would build 10**|exponent|; past this bound the value
-            # is 0 or passes the limit, so read it with exponent 0 first.
+            # is 0 or passes the bound, so read it with exponent 0 first.
             try:
                 if Fraction(f"{m[1]}e0{m[3]}") == 0:
                     return Fraction(0)
-                raise ParseError("", f"exponent {m[2]} exceeds the {limit}-digit limit")
+                raise ParseError("", f"exponent {m[2]} exceeds the {bound}-digit limit")
             except ValueError:  # then Fraction(value) fails too, at once
                 pass
         out = Fraction(value)

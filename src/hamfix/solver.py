@@ -5,8 +5,8 @@ weights at each point is pinned down exactly:
 
     Lambda_i^-  =  r_i * prod_{j<i} (phi_j - phi_i),
 
-with r the ring's generator ratios (all 1 for projective space; 1/2
-from degree (n+1)/2 up for the odd quadric).  The search runs on the
+with r the ring's generator ratios (1, then 1/d from degree (n+1)/2 on,
+d = 1 for projective space and 2 for the odd quadric).  The search runs on the
 paired-sphere ansatz: every negative weight at P_i belongs to an
 invariant gradient sphere down to exactly one lower point P_j, the
 weight divides the moment gap phi_i - phi_j, and the matching positive
@@ -312,7 +312,7 @@ def verify_equivalence(
     system's measured ring classifies back to the requested ring;
     (4)=>(3): its Chern coefficients match the reference series;
     (4)=>(1): its c1 coefficient is the degree-1 term of that series,
-    n+1 (projective space) or n (quadric).  A standard system that cannot
+    n + 2 - d (n+1 for CP^n, n for Q^n).  A standard system that cannot
     be built, or that fails ``consistency_checks`` (its ring and Chern
     classes would mean nothing), fails every line with the reason; one
     that passes them is always measurable.  ``budget`` is passed to

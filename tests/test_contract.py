@@ -18,6 +18,7 @@ from hamfix import (
     HamfixError,
     RingKind,
     RingSpec,
+    SpecMismatch,
     abbv_sum,
     c1_coefficient,
     chern_coefficients,
@@ -131,6 +132,13 @@ def test_only_hamfix_errors_escape_the_public_functions(call):
         pass
 
 
+@pytest.mark.parametrize("kind, n", [("x", 1), (None, 2)])
+def test_ring_spec_refuses_a_kind_that_is_not_a_ring_kind(kind, n):
+    # Such a spec once built, and the search on it raised a bare AssertionError.
+    with pytest.raises(SpecMismatch, match=rf"^ring kind must be a RingKind, got {kind!r}$"):
+        RingSpec(kind, n)
+
+
 H = 10**5000  # 5,001 digits: past the interpreter's default limit of 4,300
 PROJECTIVE_H = (RingKind.PROJECTIVE_SPACE, H, None, [0, 1], None)
 PAST_THE_LIMIT = {
@@ -138,6 +146,7 @@ PAST_THE_LIMIT = {
     "data-n": (FixedPointData, H, []),
     "data-index": (FixedPointData, 1, [FixedPoint(H, 0, [1]), FixedPoint(1, 1, [-1])]),
     "quadric-n": (RingSpec, RingKind.QUADRIC, H),
+    "kind": (RingSpec, H, 1, [1, 1]),
     "search-n": (search, *PROJECTIVE_H),
     "verify-n": (verify, *PROJECTIVE_H),
     "budget": (search, RingKind.PROJECTIVE_SPACE, 1, None, [0, 1], -H),

@@ -1,6 +1,7 @@
 import enum
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,26 @@ def test_rat_refuses_a_huge_exponent_before_building_the_value():
     with pytest.raises(ParseError, match=rf"^exponent 10000000 exceeds the {limit}-digit limit$"):
         rat("1e10000000")
     assert rat("-0.0e10000000") == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_rat_refuses_a_huge_exponent_with_the_digit_limit_off():
+    # With the limit at 0 the guard was once skipped: rat("1e10000000")
+    # built a 33-million-bit number in about 10 s.  The interpreter's
+    # default limit bounds the exponent instead.
+    limit, bound = sys.get_int_max_str_digits(), sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        for exponent in (100000000, 5000):
+            with pytest.raises(ParseError, match=rf"^exponent {exponent} exceeds the {bound}-digit"):
+                rat(f"1e{exponent}")
+        assert time.perf_counter() - start < 1
+        # the same magnitude written out in digits still reads
+        assert rat("1" + "0" * 5000) == 10**5000
+        assert rat("-0.0e10000000") == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.skipif(
