@@ -7,9 +7,11 @@ moves any reported number, order or message moves a digest, and the
 test names the first input that moved.  The inputs come from one seed:
 the model rings CP^1..7 and Q^3..9 at consecutive, antipodal and random
 increasing moment values; Other rings with and without Poincare
-duality; hostile inputs; and every model ring's r-sequence and Chern
-series up to n = 40.  A regenerated golden is a deliberate output
-change, to be listed record by record.  To rewrite it:
+duality; hostile inputs; every model ring's r-sequence and Chern series
+up to n = 40; and the model builders and standard weights on the model
+rings' moment lists, their upper halves and hostile inputs.  A
+regenerated golden is a deliberate output change, to be listed record
+by record.  To rewrite it:
 
     PYTHONPATH=src python tests/test_exactness.py
 """
@@ -17,6 +19,7 @@ change, to be listed record by record.  To rewrite it:
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,17 +29,23 @@ from hamfix import (
     RingSpec,
     chern_coefficients,
     consistency_checks,
+    cpn_model,
     enumerate_weight_systems,
+    expected_weights_cpn,
+    expected_weights_quadric,
+    quadric_model,
     reference_chern,
     ring_coefficients,
     verify_equivalence,
 )
 from hamfix.cohomology import _affine_fit
+from hamfix.core import _show
 
 GOLDEN = Path(__file__).parent / "data" / "exactness.golden.json"
 SEED = 31
 
 CPN, QUADRIC, OTHER = RingKind.PROJECTIVE_SPACE, RingKind.QUADRIC, RingKind.OTHER
+BUILDERS = (expected_weights_cpn, expected_weights_quadric, cpn_model, quadric_model)
 F = Fraction
 G2_RING = [1, 1, F(1, 3), F(1, 6), F(1, 18), F(1, 18)]  # G_2/P_2
 Y16_RING = [1, 1, F(1, 2), F(1, 8), F(1, 16), F(1, 16)]  # LG(3,6) cut by a hyperplane
@@ -71,6 +80,18 @@ def _r_sequence(kind, n):
 
 def _fit(phis, weights):
     return _affine_fit(FixedPointData.from_weights(phis, weights))
+
+
+def _at_default_limit(fn, values):
+    """``fn(values)``'s weights, built and shown under the interpreter's
+    default digit limit, so a number past it reads the same whatever limit
+    the tests run under."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        return [[_show(w) for w in p.weights] for p in fn(values).points]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _label(value):
@@ -141,9 +162,11 @@ class Corpus:
 def corpus():
     rng = random.Random(SEED)
     c = Corpus()
+    model_lists = {}
     for kind, ns in ((CPN, range(1, 8)), (QUADRIC, range(3, 10, 2))):
         for n in ns:
             for j, phis in enumerate(_moment_lists(rng, n)):
+                model_lists.update(dict.fromkeys([tuple(phis), tuple(phis[len(phis) // 2:])]))
                 c.ring(kind, n, None, phis, (None, 0, 1) if j == 0 else (None,))
     for r, known in OTHER_RINGS:
         n = len(r) - 1
@@ -178,6 +201,26 @@ def corpus():
         for n in range(41):
             c.call(f"r_sequence({kind}, {n})", _r_sequence, kind, n)
             c.call(f"reference_chern({kind}, {n})", reference_chern, kind, n)
+
+    # The model builders and the standard weights on every model-ring
+    # moment list and its upper half, then hostile inputs: even n, n = 1,
+    # an odd antipodal gap, unsorted, tied, bool, non-int and non-iterable
+    # values, zero and repeated exponents, and ints past the digit limit.
+    hostile = [[0, 1, 2, 3, 4], [0, 1], [-1, 1], [0, 1, 2, 5], [-5, -1, 1, 4], [0, 2, 1, 3],
+               [3, 2, 1, 0], [0, 1, 1, 2], [1, 1], [0, True, 2, 3], [True, 2], [False, 1],
+               [0, 1.5, 2, 3], [0, F(1, 2), 1, 2], [0, "1", 2, 3], [], [4], 5, None, "0123",
+               [2, -2, 1, -1], [0, 2, 1], [3, -1, 2]]
+    inputs = {_label(values): values for values in [list(phis) for phis in model_lists] + hostile}
+    for label, values in inputs.items():
+        for fn in BUILDERS:
+            c.call(f"{fn.__name__}({label})", fn, values)
+    huge = 10**5000
+    for label, values in (("[0, 1, 2, 10**5000]", [0, 1, 2, huge]),
+                          ("[0, 2, 4, 10**5000]", [0, 2, 4, huge]),
+                          ("[0, 1, 2, 10**5000 + 1]", [0, 1, 2, huge + 1]),
+                          ("[10**5000, 1]", [huge, 1]), ("[1, 10**5000, 3]", [1, huge, 3])):
+        for fn in BUILDERS:
+            c.call(f"{fn.__name__}({label})", _at_default_limit, fn, values)
     return c.records
 
 
