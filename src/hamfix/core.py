@@ -54,13 +54,16 @@ def rat(value: RatLike) -> Fraction:
         # With no limit set, the interpreter's default bounds the exponent.
         bound = limit or getattr(sys.int_info, "default_max_str_digits", 4300)
         m = _EXPONENT.fullmatch(value)
-        if m and abs(int(m[2])) > bound + len(m[1]):
+        # |exponent|'s digits; more than the bound are past it unconverted.
+        e = m[2].lstrip("+-").replace("_", "").lstrip("0") if m else ""
+        if m and (len(e) > bound or int(e or "0") > bound + len(m[1])):
             # Fraction would build 10**|exponent|; past this bound the value
             # is 0 or passes the bound, so read it with exponent 0 first.
             try:
                 if Fraction(f"{m[1]}e0{m[3]}") == 0:
                     return Fraction(0)
-                raise ParseError("", f"exponent {m[2]} exceeds the {bound}-digit limit")
+                shown = m[2] if len(m[2]) <= bound else f"{'-' * (m[2][0] == '-')}<{len(e)} digits>"
+                raise ParseError("", f"exponent {shown} exceeds the {bound}-digit limit")
             except ValueError:  # then Fraction(value) fails too, at once
                 pass
         out = Fraction(value)

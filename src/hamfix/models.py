@@ -1,19 +1,16 @@
 """Standard fixed point data: projective spaces and odd quadrics.
 
 ``cpn_model(b)`` is the diagonal circle action on CP^n with pairwise
-distinct exponents b_i: P_i sits at moment value b_i and carries the
-weights {b_j - b_i}.  ``quadric_model(b)`` is the rotation action on the
-Grassmannian of oriented 2-planes in R^{n+2} (the smooth quadric in
-CP^{n+1}), n odd: each parameter b_i produces an antipodal pair of fixed
-points at moment values -b_i and b_i with weights
-{b_j + b_i, -b_j + b_i}_{j != i} + {b_i}  and their negatives.
+distinct exponents b_i, P_i at moment value b_i.  ``quadric_model(b)`` is
+the rotation action on the Grassmannian of oriented 2-planes in R^{n+2}
+(the smooth quadric in CP^{n+1}), n odd: each parameter b_i produces an
+antipodal pair of fixed points at moment values -b_i and b_i.
 
-``expected_weights_cpn`` / ``expected_weights_quadric`` build, from the
-moment values alone, the unique weight system a datum with the
-corresponding cohomology ring must carry: all pairwise moment gaps, with
-the antipodal gap halved in the quadric case.  These are the models'
-weights, so the model constructors only check their parameters and
-call ``expected_weights_*``: one construction path per ring.
+Both are the standard action on the degree-d hypersurface of CP^{n+1}
+(d = 1 for CP^n, 2 for Q^n), one formula: P_i carries its moment gaps
+{phi_j - phi_i : j != i}, the gap to its antipode P_{n-i} divided by d.
+``expected_weights_cpn`` / ``expected_weights_quadric`` build it from
+moment values: the unique weight system a datum with that ring carries.
 """
 
 from __future__ import annotations
@@ -47,6 +44,21 @@ def _check_increasing_ints(phis: Sequence[int]) -> list[int]:
     return out
 
 
+def _standard(vals: Sequence[int], d: int) -> FixedPointData:
+    """The standard action at increasing ints ``vals``: P_i's moment gaps,
+    the gap to its antipode P_{n-i} over d, which must divide it."""
+    n = len(vals) - 1
+    weights = [[q - p for j, q in enumerate(vals) if j != i] for i, p in enumerate(vals)]
+    if d > 1:
+        for i, ws in enumerate(weights):
+            gap = vals[n - i] - vals[i]
+            if gap % d:
+                shown = f"phi(P_{n - i}) - phi(P_{i}) = {_show(gap)}"
+                raise SpecMismatch(f"moment gap {shown} is odd; its half-weight is not an integer")
+            ws[n - i - (n - i > i)] = gap // d  # P_{n-i}'s slot once P_i's own is skipped
+    return FixedPointData.from_weights(vals, weights)
+
+
 def cpn_model(b: Sequence[int]) -> FixedPointData:
     """Projective space fixed point data for exponents ``b``.
 
@@ -60,7 +72,7 @@ def cpn_model(b: Sequence[int]) -> FixedPointData:
         raise SpecMismatch(f"exponents must be pairwise distinct, got [{shown}]")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
-    return expected_weights_cpn(bs)
+    return _standard(bs, 1)
 
 
 def quadric_model(b: Sequence[int]) -> FixedPointData:
@@ -80,36 +92,22 @@ def quadric_model(b: Sequence[int]) -> FixedPointData:
         raise SpecMismatch(f"exponents must have distinct absolute values, got [{shown}]")
     if len(bs) < 2:
         raise StructureError("need at least two exponents")
-    return expected_weights_quadric([-v for v in bs] + bs[::-1])
+    return _standard([-v for v in bs] + bs[::-1], 2)
 
 
 def expected_weights_cpn(phis: Sequence[int]) -> FixedPointData:
-    """The weight system forced by a projective-space cohomology ring:
-    P_i carries exactly the moment gaps {phi_j - phi_i : j != i}."""
-    vals = _check_increasing_ints(phis)
-    return FixedPointData.from_weights(
-        vals, [[q - p for j, q in enumerate(vals) if j != i] for i, p in enumerate(vals)]
-    )
+    """The weight system forced by a projective-space cohomology ring: the
+    standard action (module docstring) at ``phis`` with d = 1."""
+    return _standard(_check_increasing_ints(phis), 1)
 
 
 def expected_weights_quadric(phis: Sequence[int]) -> FixedPointData:
-    """The weight system forced by an odd-quadric cohomology ring:
-    P_i carries the moment gaps to every non-antipodal point plus half
-    the gap to its antipode P_{n-i}."""
+    """The weight system forced by an odd-quadric cohomology ring: the
+    standard action (module docstring) at ``phis`` with d = 2."""
     vals = _check_increasing_ints(phis)
     n = len(vals) - 1
     if n % 2 == 0:
         raise SpecMismatch(f"quadric weights require odd n, got {n}")
     if n < 3:
         raise StructureError(f"quadric weights require n >= 3, got {n}")
-    for i in range(n + 1):
-        if (vals[n - i] - vals[i]) % 2 != 0:
-            raise SpecMismatch(
-                f"moment gap phi(P_{n - i}) - phi(P_{i}) = {_show(vals[n - i] - vals[i])} "
-                "is odd; its half-weight is not an integer"
-            )
-    weights = [
-        [q - p for j, q in enumerate(vals) if j != i and j != n - i] + [(vals[n - i] - p) // 2]
-        for i, p in enumerate(vals)
-    ]
-    return FixedPointData.from_weights(vals, weights)
+    return _standard(vals, 2)

@@ -29,6 +29,7 @@ from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .cohomology import (
+    _DEGREE,
     RingKind,
     RingSpec,
     c1_coefficient,
@@ -47,7 +48,7 @@ from .errors import (
     StructureError,
 )
 from .localization import vanishing_battery
-from .models import _check_increasing_ints, _ints, expected_weights_cpn, expected_weights_quadric
+from .models import _check_increasing_ints, _ints, _standard
 
 DEFAULT_BUDGET = 200_000
 
@@ -322,9 +323,8 @@ def verify_equivalence(
         raise SpecMismatch("equivalence verification is defined for the model rings only")
     systems = enumerate_weight_systems(spec, phis, budget=budget)
     count, names = len(systems), ("(2)=>(4)", "(4)=>(2)", "(4)=>(3)", "(4)=>(1)")
-    cpn = spec.kind is RingKind.PROJECTIVE_SPACE
     try:
-        standard = (expected_weights_cpn if cpn else expected_weights_quadric)(phis)
+        standard = _standard(phis, _DEGREE[spec.kind])  # the search checked phis
     except HamfixError as exc:
         reason = f"not constructible: {exc}"
     else:

@@ -107,14 +107,21 @@ def test_rat_refuses_a_huge_exponent_before_building_the_value():
 def test_rat_refuses_a_huge_exponent_with_the_digit_limit_off():
     # With the limit at 0 the guard was once skipped: rat("1e10000000")
     # built a 33-million-bit number in about 10 s.  The interpreter's
-    # default limit bounds the exponent instead.
+    # default limit bounds the exponent instead.  A million-digit exponent
+    # was once converted whole (5 s) and written whole into the message.
     limit, bound = sys.get_int_max_str_digits(), sys.int_info.default_max_str_digits
+    nines = "9" * 10**6
     sys.set_int_max_str_digits(0)
     try:
         start = time.perf_counter()
-        for exponent in (100000000, 5000):
-            with pytest.raises(ParseError, match=rf"^exponent {exponent} exceeds the {bound}-digit"):
+        for exponent, shown in (("100000000", "100000000"), ("5000", "5000"),
+                                (nines, "<1000000 digits>"), ("-" + nines, "-<1000000 digits>"),
+                                ("+00_" + nines, "<1000000 digits>")):
+            message = rf"^exponent {shown} exceeds the {bound}-digit limit$"
+            with pytest.raises(ParseError, match=message) as err:
                 rat(f"1e{exponent}")
+            assert len(str(err.value)) < 200
+        assert rat("0e" + nines) == 0
         assert time.perf_counter() - start < 1
         # the same magnitude written out in digits still reads
         assert rat("1" + "0" * 5000) == 10**5000

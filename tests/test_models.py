@@ -142,6 +142,37 @@ def test_expected_weights_quadric_round_trip(b):
     assert quadric_model(b) == action
 
 
+@st.composite
+def quadric_moment_lists(draw):
+    """Increasing ints for odd n from 3 to 9 whose antipodal gaps are all
+    even, in general not symmetric about any point."""
+    n = draw(st.sampled_from((3, 5, 7, 9)))
+    phis = [draw(st.integers(-20, 20))]
+    for i, step in enumerate(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)), 1):
+        phis.append(phis[-1] + step)
+        if i > n - i and (phis[i] - phis[n - i]) % 2:
+            phis[i] += 1  # P_{n-i} is placed: make the antipodal gap even
+    return phis
+
+
+def _quadric_weights(phis):
+    """The quadric's weights as first written, on their own: the gaps to
+    the non-antipodal points, plus the halved antipodal gap."""
+    n = len(phis) - 1
+    weights = [
+        [q - p for j, q in enumerate(phis) if j != i and j != n - i] + [(phis[n - i] - p) // 2]
+        for i, p in enumerate(phis)
+    ]
+    return FixedPointData.from_weights(phis, weights)
+
+
+@given(quadric_moment_lists())
+def test_standard_weights_at_asymmetric_moment_lists(phis):
+    # The round trips above build only lists symmetric about 0.
+    assert expected_weights_quadric(phis) == _quadric_weights(phis)
+    assert expected_weights_cpn(phis) == _diagonal_action(phis)
+
+
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=7, unique=True))
 def test_cpn_model_always_validates(b):
     assert validate(cpn_model(b)).is_valid
