@@ -68,11 +68,22 @@ def rat(value: RatLike) -> Fraction:
                 pass
         out = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("", f"not a rational \"p/q\" string: {exc}") from None
+        why = str(exc).replace(repr(value), _show(value))  # Fraction writes the literal whole
+        raise ParseError("", f"not a rational \"p/q\" string: {why}") from None
     big = max(abs(out.numerator), out.denominator)
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
         raise ParseError("", f"numerator or denominator past the {limit}-digit limit")
     return out
+
+
+# A caller's text longer than this is shown as its beginning and its length.
+_TEXT_BOUND = 200
+
+
+def _clip(text: str) -> str:
+    """``text``, or past ``_TEXT_BOUND`` characters its beginning and its
+    length, such as ``'xxx... <1000002 characters>``."""
+    return text if len(text) <= _TEXT_BOUND else f"{text[:_TEXT_BOUND]}... <{len(text)} characters>"
 
 
 def _show(value: object) -> str:
@@ -80,21 +91,21 @@ def _show(value: object) -> str:
     ``repr`` does, but past the interpreter's digit limit an integer part
     as a placeholder that names its size, such as ``<4301 digits>``, a list
     or tuple item by item, and any other value as its type, such as
-    ``<dict past the digit limit>``."""
+    ``<dict past the digit limit>``.  A non-number's text is cut by ``_clip``."""
     if not isinstance(value, (list, tuple)):
         return _shown(value)
     try:
-        return repr(value)
+        return _clip(repr(value))
     except ValueError:  # the digit limit
         left, right = "[]" if isinstance(value, list) else "()"
-        return left + ", ".join(map(_shown, value)) + right
+        return _clip(left + ", ".join(map(_shown, value)) + right)
 
 
 def _shown(value: object) -> str:
     """``_show`` of one value: a list or tuple past the limit shows its type."""
     number = isinstance(value, (int, Fraction))
     try:
-        return str(value) if number else repr(value)
+        return str(value) if number else _clip(repr(value))
     except ValueError:  # the digit limit
         if not number:
             return f"<{type(value).__name__} past the digit limit>"
@@ -232,10 +243,8 @@ class FixedPointData(namedtuple("FixedPointData", "n points")):
         return self.translated(-self.points[0].moment_value)
 
 
-class Violation(namedtuple("Violation", "rule point message")):
-    """One broken ``validate`` rule, at the point it names, with its message."""
-
-    __slots__ = ()
+Violation = namedtuple("Violation", "rule point message")
+Violation.__doc__ = "One broken ``validate`` rule, at the point it names, with its message."
 
 
 class ValidationReport(namedtuple("ValidationReport", "violations")):

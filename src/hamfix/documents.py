@@ -18,14 +18,12 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Any
 
-from .core import FixedPointData, _past_digit_limit, _show, rat
+from .core import FixedPointData, _clip, _past_digit_limit, _show, rat
 from .errors import ParseError
 
 
-class InputDocument(namedtuple("InputDocument", "data meta", defaults=(None,))):
-    """Fixed point data and the document's optional ``meta`` object."""
-
-    __slots__ = ()
+InputDocument = namedtuple("InputDocument", "data meta", defaults=(None,))
+InputDocument.__doc__ = "Fixed point data and the document's optional ``meta`` object."
 
 
 def _parse_phi(value: Any, path: str) -> Fraction:
@@ -55,7 +53,7 @@ def document_from_json(obj: Any) -> InputDocument:
         raise ParseError("$", f"expected an object, got {type(obj).__name__}")
     unknown = set(obj) - {"n", "points", "meta"}
     if unknown:
-        raise ParseError(sorted(unknown)[0], "unknown key")
+        raise ParseError(_clip(str(sorted(unknown)[0])), "unknown key")
 
     n = obj.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -75,7 +73,7 @@ def document_from_json(obj: Any) -> InputDocument:
             raise ParseError(base, "expected an object with phi and weights")
         unknown = set(entry) - {"phi", "weights"}
         if unknown:
-            raise ParseError(f"{base}.{sorted(unknown)[0]}", "unknown key")
+            raise ParseError(f"{base}.{_clip(str(sorted(unknown)[0]))}", "unknown key")
         if "phi" not in entry:
             raise ParseError(f"{base}.phi", "missing")
         phis.append(_parse_phi(entry["phi"], f"{base}.phi"))

@@ -44,10 +44,8 @@ def abbv_sum(data: FixedPointData, coefficients: Iterable[RatLike]) -> Fraction:
     return sum((rat(a) / p.lambda_all for p, a in zip(data.points, values)), Fraction(0))
 
 
-class BatteryFailure(namedtuple("BatteryFailure", "b value")):
-    """A power b < n whose sum s_b = sum_P (-phi_P)^b / Lambda_P is ``value`` != 0."""
-
-    __slots__ = ()
+BatteryFailure = namedtuple("BatteryFailure", "b value")
+BatteryFailure.__doc__ = "A power b < n whose sum s_b = sum_P (-phi_P)^b / Lambda_P is ``value`` != 0."
 
 
 class BatteryReport(namedtuple("BatteryReport", "n failures volume")):

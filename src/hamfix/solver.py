@@ -132,11 +132,9 @@ def _assemble(
     return FixedPointData.from_weights(phis, weights)
 
 
-class Check(namedtuple("Check", "name passed detail")):
-    """One named verdict and its reason: a consistency check or an
-    implication of ``verify_equivalence``."""
-
-    __slots__ = ()
+Check = namedtuple("Check", "name passed detail")
+Check.__doc__ = """One named verdict and its reason: a consistency check or an
+implication of ``verify_equivalence``."""
 
 
 def consistency_checks(
@@ -403,17 +401,12 @@ def infer_moment_values(weight_multisets: Sequence[Iterable[int]]) -> list[Fract
     return phis
 
 
-class SphereEdge(namedtuple("SphereEdge", "lower upper weight paired")):
-    """A gradient-sphere edge between P_lower and P_upper carrying |w|;
-    -w is a weight at the upper point and, if paired, +w at the lower."""
+SphereEdge = namedtuple("SphereEdge", "lower upper weight paired")
+SphereEdge.__doc__ = """A gradient-sphere edge between P_lower and P_upper carrying |w|;
+-w is a weight at the upper point and, if paired, +w at the lower."""
 
-    __slots__ = ()
-
-
-class AmbiguousWeight(namedtuple("AmbiguousWeight", "point weight candidates")):
-    """A weight left unmatched with no unique divisibility-feasible pole."""
-
-    __slots__ = ()
+AmbiguousWeight = namedtuple("AmbiguousWeight", "point weight candidates")
+AmbiguousWeight.__doc__ = "A weight left unmatched with no unique divisibility-feasible pole."
 
 
 class GradientSphereGraph(namedtuple("GradientSphereGraph", "n edges ambiguous missing_pairs")):

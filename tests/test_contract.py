@@ -3,6 +3,7 @@ public function returns or raises a ``HamfixError`` subclass, never
 another exception.  Numbers past the interpreter's digit limit, which no
 search draws, are checked case by case."""
 
+import json
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -32,6 +33,7 @@ from hamfix import (
     expected_weights_quadric,
     gradient_graph,
     infer_moment_values,
+    parse_document,
     quadric_model,
     rat,
     ring_coefficients,
@@ -39,6 +41,7 @@ from hamfix import (
     vanishing_battery,
     verify_equivalence,
 )
+from hamfix.cli import main
 
 
 def measured_ring(data):
@@ -180,3 +183,28 @@ def test_messages_show_a_number_past_the_digit_limit_as_a_placeholder(call):
     fn, *args = call
     with pytest.raises(TypeError if fn is rat else HamfixError, match="<5001 digits>"):
         fn(*args)
+
+
+LONG = "x" * 10**6
+QUOTED, BARE = len(repr(LONG)), len(LONG)  # shown as repr writes it, or as a bare key
+LONG_TEXT = {
+    "rat": (rat, [LONG], QUOTED),
+    "ring-kind": (RingSpec, [LONG, 1], QUOTED),
+    "document-key": (parse_document, [json.dumps({LONG: 1})], BARE),
+    "point-key": (parse_document, [json.dumps({"n": 1, "points": [{LONG: 1}, {}]})], BARE),
+    "cli-phi": (main, [["solve", "--ring", "cpn", "--phi", LONG]], QUOTED),
+    "cli-r": (main, [["solve", "--ring", "other", "--phi", "0,1", "--r", LONG]], QUOTED),
+}
+
+
+@pytest.mark.parametrize("fn, args, size", LONG_TEXT.values(), ids=LONG_TEXT)
+def test_messages_show_a_long_caller_string_as_its_beginning_and_length(fn, args, size, capsys):
+    # Each message once held the whole string, a million characters.
+    if fn is main:
+        assert main(*args) == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(HamfixError) as info:
+            fn(*args)
+        message = str(info.value)
+    assert len(message) < 300 and f"... <{size} characters>" in message

@@ -86,7 +86,14 @@ def test_error_classes():
 
 
 def test_public_classes_and_functions_have_docstrings():
-    # A class's __doc__ is its own: a subclass without one reads None.
+    # A class's __doc__ is its own: a subclass without one reads None, and a
+    # bare named tuple reads the one namedtuple generates from its fields.
     objects = {name: getattr(hamfix, name) for name in PUBLIC_NAMES}
     assert all(inspect.isclass(obj) or inspect.isfunction(obj) for obj in objects.values())
     assert [name for name, obj in objects.items() if not (obj.__doc__ or "").strip()] == []
+    generated = [
+        name
+        for name, obj in objects.items()
+        if hasattr(obj, "_fields") and obj.__doc__ == f"{name}({', '.join(obj._fields)})"
+    ]
+    assert generated == []

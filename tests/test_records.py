@@ -129,6 +129,31 @@ def test_record_text_equality_hash_and_immutability(cls, fields, text):
         record.extra = None
 
 
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+def test_records_order_copy_and_pickle_as_their_tuples(cls, fields, text):
+    record = cls(**fields)
+    plain = tuple(record)
+    assert record == plain and record <= plain and not record < plain
+    assert record < plain + (0,) and plain[:-1] < record
+    assert record._asdict() == dict(zip(cls._fields, plain))
+    first = cls._fields[0]
+    for twin in (
+        record._replace(**{first: getattr(record, first)}),
+        copy.copy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+# The records that only carry data are the named tuple itself, no subclass.
+DATA_RECORDS = [AmbiguousWeight, BatteryFailure, Check, InputDocument, SphereEdge, Violation]
+
+
+@pytest.mark.parametrize("cls", DATA_RECORDS, ids=[c.__name__ for c in DATA_RECORDS])
+def test_data_records_are_one_class(cls):
+    assert cls.__mro__ == (cls, tuple, object)
+
+
 def test_records_are_named_tuples():
     index, phi, weights = P1
     assert (index, phi, weights) == (1, Fraction(1), (-1,))

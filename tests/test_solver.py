@@ -316,6 +316,13 @@ def test_only_the_buckets_a_placement_reads_are_searched(monkeypatch):
     monkeypatch.setattr("hamfix.solver._negative_assignments", recorded)
     enumerate_weight_systems(RingSpec(RingKind.QUADRIC, 3), [-3, -1, 1, 3])
     assert searches == [([-6, -4], 2), ([-4], 1), ([], 1)]
+    # An Other ring with composite cofactors reads the same buckets again
+    # and again: searched once each, that is 19 searches; searched on every
+    # read, 806 (and about 16 times as slow).  No system exists.
+    searches.clear()
+    spec = RingSpec(RingKind.OTHER, 5, (1, 1, "1/12", "1/144", "1/1728", "1/1728"))
+    assert enumerate_weight_systems(spec, [0, 720, 1440, 2160, 2880, 3600]) == []
+    assert len(searches) == 19
 
 
 @pytest.mark.parametrize("g", [10**18, 10**39 + 7])
