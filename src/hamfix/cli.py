@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .cohomology import RingKind, RingSpec, chern_coefficients, classify_ring, ring_coefficients
-from .core import FixedPointData, _past_digit_limit, _show, rat
+from .core import FixedPointData, _clip, _past_digit_limit, _show, rat
 from .documents import InputDocument, load_document, serialize_document
 from .errors import HamfixError, ParseError, SearchBudgetExceeded
 from .models import cpn_model, quadric_model
@@ -42,6 +42,14 @@ _OTHER_RING_ANSATZ = (
     "searched under the paired-sphere ansatz only: systems outside it are not listed, "
     "and a count of 0 does not prove that none exist"
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a caller's value in a usage error cut by ``_clip``;
+    ``add_subparsers`` builds the subcommands' parsers from this class too."""
+
+    def error(self, message: str):
+        super().error(_clip(message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         f"the number of assignments placed (default {DEFAULT_BUDGET})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamfix",
         description="Fixed point data of Hamiltonian circle actions: "
         "consistency checks, ring/Chern invariants, weight-system search.",
@@ -263,7 +271,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {_past_digit_limit('the result')}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (HamfixError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an OSError's text holds the caller's path whole
+        print(f"error: {_clip(str(exc)) if isinstance(exc, OSError) else exc}", file=sys.stderr)
         if isinstance(exc, SearchBudgetExceeded):
             return EXIT_BUDGET
         # Bad parameters to generators and solvers are input errors; a file

@@ -53,7 +53,7 @@ def document_from_json(obj: Any) -> InputDocument:
         raise ParseError("$", f"expected an object, got {type(obj).__name__}")
     unknown = set(obj) - {"n", "points", "meta"}
     if unknown:
-        raise ParseError(_clip(str(sorted(unknown)[0])), "unknown key")
+        raise ParseError(_clip(str(min(unknown, key=str))), "unknown key")
 
     n = obj.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -73,7 +73,7 @@ def document_from_json(obj: Any) -> InputDocument:
             raise ParseError(base, "expected an object with phi and weights")
         unknown = set(entry) - {"phi", "weights"}
         if unknown:
-            raise ParseError(f"{base}.{_clip(str(sorted(unknown)[0]))}", "unknown key")
+            raise ParseError(f"{base}.{_clip(str(min(unknown, key=str)))}", "unknown key")
         if "phi" not in entry:
             raise ParseError(f"{base}.phi", "missing")
         phis.append(_parse_phi(entry["phi"], f"{base}.phi"))

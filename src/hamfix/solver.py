@@ -251,15 +251,14 @@ def enumerate_weight_systems(
     # (i, w) -> P_i's assignments ending in w, by weight sum below P_n.
     buckets: dict[tuple[int, int], dict] = {}
     placements = 0
-    unique: dict[tuple, FixedPointData] = {}
+    found: set[FixedPointData] = set()
     # (i, the assignments of P_{i+1}..P_n).  A bucket is pushed in
     # reverse, so it pops in the search's order.
     stack = [(n, ())]
     while stack:
         i, placed = stack.pop()
         if i == 0:
-            data = _assemble(vals, placed, n)
-            unique.setdefault(tuple(p.weights for p in data.points), data)
+            found.add(_assemble(vals, placed, n))
             continue
         # P_{i-1}'s positive weights so far divide their gaps by `used`;
         # P_i's weight to P_{i-1} divides theirs by the rest of 1 / r_{n-i+1}.
@@ -288,7 +287,7 @@ def enumerate_weight_systems(
         if placements > budget:
             raise SearchBudgetExceeded(f"more than {_show(budget)} weight assignments placed")
         stack += [(i - 1, (a,) + placed) for a in reversed(children)]
-    return [unique[k] for k in sorted(unique)]
+    return sorted(found)
 
 
 class EquivalenceReport(namedtuple("EquivalenceReport", "spec lines system_count")):

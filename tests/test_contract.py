@@ -208,3 +208,44 @@ def test_messages_show_a_long_caller_string_as_its_beginning_and_length(fn, args
             fn(*args)
         message = str(info.value)
     assert len(message) < 300 and f"... <{size} characters>" in message
+
+
+LONG_ARG = "x" * 10**5  # argv caps one string at 128 KiB
+LONG_ARGUMENT = {
+    "budget": ["solve", "--ring", "cpn", "--phi", "0,1", "--budget", LONG_ARG],
+    "ring": ["solve", "--ring", LONG_ARG, "--phi", "0,1"],
+    "model-kind": ["model", LONG_ARG, "--b", "0,1"],
+    "file": ["check", LONG_ARG],
+}
+
+
+def _exit_code(argv):
+    """``main``'s exit code, argparse's usage error included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", LONG_ARGUMENT.values(), ids=LONG_ARGUMENT)
+def test_the_cli_shows_a_long_argument_or_path_as_its_beginning_and_length(
+    argv, capsys, tmp_path, monkeypatch
+):
+    # argparse's usage error and the file opener's error once held it whole.
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+    message = capsys.readouterr().err
+    assert len(message.encode()) < 1000 and " characters>" in message
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["solve", "--ring", "cpn", "--phi", "0,1", "--budget", "x"],
+         "hamfix solve: error: argument --budget: invalid int value: 'x'"),
+        (["check", "missing.json"], "error: [Errno 2] No such file or directory: 'missing.json'"),
+    ],
+)
+def test_the_cli_writes_a_short_argument_or_path_whole(argv, line, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2 and capsys.readouterr().err.splitlines()[-1] == line

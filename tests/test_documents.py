@@ -13,6 +13,7 @@ from hamfix import (
     InputDocument,
     ParseError,
     cpn_model,
+    document_from_json,
     parse_document,
     load_document,
     quadric_model,
@@ -361,6 +362,19 @@ def _one_sphere(**changes):
 def test_parse_refuses_each_malformed_shape_by_path(obj, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_document(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({1: 0, "a": 0}, "1: unknown key"),
+        (_one_sphere(point={2: 0, "x": 0}), "points[0].2: unknown key"),
+    ],
+)
+def test_unknown_keys_of_mixed_types_name_the_first_by_text(obj, message):
+    # A Python caller's dict may mix key types, which sorted() cannot order.
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        document_from_json(obj)
 
 
 def test_parse_reads_an_integral_float_phi_as_an_integer():

@@ -225,6 +225,18 @@ def test_enumerate_other_ring_is_filter_only():
     assert vanishing_battery(true_system).passed
 
 
+TWO_SYSTEMS = (RingSpec(RingKind.OTHER, 4, (1, 1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))), [0, 2, 4, 6, 8])
+
+
+def test_enumerate_returns_each_system_once_in_weight_order():
+    # The two systems differ only at P_2: (-4, -1, 1, 4) and (-2, -2, 2, 2).
+    # Each is returned once, ordered as data and as flattened weight lists.
+    systems = enumerate_weight_systems(*TWO_SYSTEMS)
+    flat = [[w for p in data.points for w in p.weights] for data in systems]
+    assert len(systems) == 2 and systems[0] < systems[1] and flat[0] < flat[1]
+    assert [data.points[2].weights for data in systems] == [(-4, -1, 1, 4), (-2, -2, 2, 2)]
+
+
 @pytest.mark.parametrize(
     "r, phis, detail",
     [
@@ -646,6 +658,8 @@ def test_the_placement_the_gamma_0_cut_refuses_fails_c1():
         None,
     )
 )
+# Two systems, which the oracle orders by their flattened weight lists.
+@example((*TWO_SYSTEMS, None))
 @settings(max_examples=300)
 @given(_placement_instances())
 def test_placement_by_lookup_matches_the_flat_scan(instance):
