@@ -10,16 +10,20 @@ allows.
 """
 
 from .cohomology import (
+    BatteryFailure,
+    BatteryReport,
     ChernData,
     RingCoefficients,
     RingKind,
     RingSpec,
+    abbv_sum,
     c1_coefficient,
     chern_coefficients,
     classify_ring,
     condition_d_offset,
     reference_chern,
     ring_coefficients,
+    vanishing_battery,
 )
 from .core import (
     FixedPoint,
@@ -46,12 +50,6 @@ from .errors import (
     SearchBudgetExceeded,
     SpecMismatch,
     StructureError,
-)
-from .localization import (
-    BatteryFailure,
-    BatteryReport,
-    abbv_sum,
-    vanishing_battery,
 )
 from .models import (
     cpn_model,

@@ -38,6 +38,7 @@ from .cohomology import (
     condition_d_offset,
     reference_chern,
     ring_coefficients,
+    vanishing_battery,
 )
 from .core import FixedPointData, _show, validate
 from .errors import (
@@ -47,7 +48,6 @@ from .errors import (
     SpecMismatch,
     StructureError,
 )
-from .localization import vanishing_battery
 from .models import _check_increasing_ints, _ints, _standard
 
 DEFAULT_BUDGET = 200_000
@@ -59,8 +59,37 @@ def _checked_phis(spec: RingSpec, phis: Sequence[int]) -> list[int]:
     return _check_increasing_ints(phis)
 
 
+# Miller-Rabin on the primes up to 41 is exact below the least strong
+# pseudoprime to all of them (the primes up to 37 alone fail at
+# 318,665,857,834,031,151,167,461).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(m: int) -> bool:
+    """Whether m is a prime below ``_MR_BOUND`` (False from the bound on)."""
+    if m >= _MR_BOUND or m < 2 or any(m % a == 0 for a in _MR_BASES):
+        return m in _MR_BASES
+    s = ((m - 1) & -(m - 1)).bit_length() - 1  # m - 1 = d * 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (m - 1) >> s, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
+            return False
+    return True
+
+
 def _divisors(m: int) -> list[int]:
+    """The divisors of m in ascending order: [1, m] at once for a prime
+    below ``_MR_BOUND``, else by trial division up to sqrt(m)."""
     assert m > 0
+    if _is_prime(m):
+        return [1, m]
     small, large = [], []
     d = 1
     while d * d <= m:

@@ -36,7 +36,7 @@ from hamfix import (
     verify_equivalence,
 )
 from hamfix.errors import HamfixError
-from hamfix.solver import DEFAULT_BUDGET, _assemble, _checked_phis, _divisors, _negative_assignments
+from hamfix.solver import DEFAULT_BUDGET, _assemble, _checked_phis, _divisors, _is_prime, _negative_assignments
 
 from conftest import cpn_b_lists, model_data, outcome, quadric_b_lists, read_path_data
 
@@ -347,6 +347,51 @@ def test_enumerate_huge_gaps_without_listing_their_divisors(g):
     assert time.perf_counter() - start < 1
     assert cpn == [cpn_model([0, g, 2 * g, 3 * g])]
     assert quadric == [quadric_model((3 * g, g))]
+
+
+@pytest.mark.parametrize("p", [99_999_999_999_973, 999_999_999_999_999_989])
+def test_a_prime_cofactor_is_not_trial_divided(p):
+    # 1/r_2 = p is a bucket key: trial division up to sqrt(p) took 1.6 s
+    # at p near 1e14 and would take minutes near 1e18, budget or not.
+    spec = RingSpec(RingKind.OTHER, 3, (1, 1, Fraction(1, p), Fraction(1, p)))
+    phis = [0, p, 2 * p, 3 * p]
+    weights = [(3, p, 2 * p), (-p, 1, 2 * p), (-2 * p, -1, p), (-2 * p, -p, -3)]
+    start = time.perf_counter()
+    assert enumerate_weight_systems(spec, phis) == [FixedPointData.from_weights(phis, weights)]
+    with pytest.raises(SearchBudgetExceeded, match="more than 1 weight assignments at one point"):
+        enumerate_weight_systems(spec, phis, budget=1)
+    assert time.perf_counter() - start < 0.5
+
+
+def _trial_divisors(m):
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        999_999_999_989,  # primes
+        1_000_000_000_039,
+        999_983**2,  # prime squares
+        1_000_003**2,
+        999_983 * 1_000_003,  # semiprimes
+        2 * 499_999_999_979,
+        3 * 333_333_333_323,
+    ],
+)
+def test_divisors_match_trial_division_near_1e12(m):
+    assert _divisors(m) == _trial_divisors(m)
+
+
+def test_divisors_match_trial_division_below_20000():
+    assert [m for m in range(1, 20_000) if _divisors(m) != _trial_divisors(m)] == []
+
+
+def test_the_least_strong_pseudoprime_to_the_bases_up_to_37_is_composite():
+    m = 318_665_857_834_031_151_167_461
+    assert _is_prime(m) is False
+    assert _is_prime(2_147_483_647) is True  # 2^31 - 1
 
 
 # --- the bounded divisor search ----------------------------------------------
